@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	mc "mobilecongest"
@@ -13,21 +12,21 @@ import (
 // a Broadcast payload) on clique32 at f=4, under the mobile "flip" and
 // "busiest" byzantine adversaries, with per-run seeds drawn from the
 // workload seed. One prebuilt run in 16 is under busiest, whose runs take
-// about half again as long as flip's: with 25 to 80 runs a window, busiest
-// supplies fewer than the 10 samples the tail leaves beyond it, so both the
-// median and the tail stay in the flip mode instead of jumping between two. The compiled protocol's own compute dominates (sketch
+// about half again as long as flip's: with fewer than 32 runs a window,
+// busiest supplies fewer than the 10 samples the tail leaves beyond it, so
+// both the median and the tail stay in the flip mode instead of jumping
+// between two. The compiled protocol's own compute dominates (sketch
 // decoding, GF(p) solves, allocation), inside the collect phase; the engine
 // and the adversary each take a few percent, so this is where compiler and
 // allocation changes show and where engine-only changes should show
 // nothing. Loads internal/resilient (with sketch/gf/ecc/vote),
 // internal/adversary, internal/congest (step engine) and the Go runtime;
-// bypasses Plan, the result cache and the server. Two closed-loop clients
-// run concurrently, one run at a time each.
+// bypasses Plan, the result cache and the server. One closed-loop client
+// runs them one at a time.
 const (
-	byzN       = 32
-	byzF       = 4
-	byzSeeds   = 16
-	byzClients = 2
+	byzN     = 32
+	byzF     = 4
+	byzSeeds = 16
 )
 
 // byzAdversary is the adversary of the s-th prebuilt run.
@@ -38,10 +37,8 @@ func byzAdversary(s int) string {
 	return "flip"
 }
 
-// byzEntry is one prebuilt run: seed, compiled protocol, adversary. Its mutex keeps the two
-// clients from sharing the adversary instance.
+// byzEntry is one prebuilt run: seed, compiled protocol, adversary.
 type byzEntry struct {
-	mu     sync.Mutex
 	seed   int64
 	proto  mc.Protocol
 	shared any
@@ -58,9 +55,14 @@ type compiledByz struct {
 
 func newCompiledByz(cfg config, _ *tally) workload { return &compiledByz{cfg: cfg} }
 
-func (c *compiledByz) setup(tr *tracer) error {
+func (c *compiledByz) setup(tr *tracer) (time.Duration, error) {
 	id, end := tr.root("setup", "bench.setup")
 	defer end()
+	return cpuCost(func() error { return c.build(tr, id) })
+}
+
+// build makes the graph and the prebuilt runs.
+func (c *compiledByz) build(tr *tracer, id int64) error {
 	var err error
 	tr.timed("setup", id, "graph.build", func() { c.g, err = mc.BuildTopology("clique", byzN, 0) })
 	if err != nil {
@@ -105,7 +107,7 @@ func (c *compiledByz) reference(e *byzEntry) (*mc.Result, error) {
 }
 
 func (c *compiledByz) measure(more keepGoing, tr *tracer) *window {
-	w := newWindow()
+	w := newWindow(c.cfg.probe)
 	refErr := map[*byzEntry]error{}
 	for _, e := range c.entries {
 		if _, err := c.reference(e); err != nil {
@@ -113,15 +115,13 @@ func (c *compiledByz) measure(more keepGoing, tr *tracer) *window {
 		}
 	}
 	var payload simCounts // the uncompiled runs of the counted operations
-	w.drive(more, byzClients, func(i int) {
+	w.drive(more, func(i int) {
 		e := c.entries[i%len(c.entries)]
 		if err := refErr[e]; err != nil {
 			w.done(i, 0, nil, 0, 0, simCounts{}, "", []string{"payload reference: " + err.Error()})
 			return
 		}
 		ref := e.ref
-		e.mu.Lock()
-		defer e.mu.Unlock()
 		run := fmt.Sprintf("run-%d", i)
 		id, end := tr.root(run, "bench.run")
 		opts := []mc.ScenarioOption{mc.WithGraph(c.g), mc.WithProtocol(e.proto), mc.WithShared(e.shared), mc.WithSeed(e.seed)}
@@ -132,20 +132,20 @@ func (c *compiledByz) measure(more keepGoing, tr *tracer) *window {
 		} else {
 			opts = append(opts, mc.WithAdversary(e.adv))
 		}
-		start := time.Now()
+		start := selfCPU()
 		var tStart int64
 		var rtStart rtSample
 		if obs != nil {
 			tStart, rtStart = tr.now(), obs.rt.read()
 		}
 		res, err := mc.NewScenario(opts...).Run()
-		runMS := float64(time.Since(start).Microseconds()) / 1000
+		cpu := selfCPU() - start
 		if obs != nil {
 			obs.emit(run, id, "mobilecongest.scenario.run", tStart, tr.now(), rtStart, obs.rt.read())
 		}
 		if err != nil {
 			end()
-			w.done(i, runMS, []float64{runMS}, 1, 0, simCounts{}, "", []string{e.advNm + " run error: " + err.Error()})
+			w.done(i, cpu, nil, 1, 0, simCounts{}, "", []string{e.advNm + " run error: " + err.Error()})
 			return
 		}
 		var problems []string
@@ -159,11 +159,9 @@ func (c *compiledByz) measure(more keepGoing, tr *tracer) *window {
 		end()
 		st := res.Stats
 		if i < countedOps {
-			w.mu.Lock()
 			payload.add(simCounts{ref.Stats.Rounds, ref.Stats.Messages, ref.Stats.Bytes, 0})
-			w.mu.Unlock()
 		}
-		w.done(i, float64(time.Since(start).Microseconds())/1000, []float64{runMS}, 1, st.Messages,
+		w.done(i, cpu, nil, 1, st.Messages,
 			simCounts{st.Rounds, st.Messages, st.Bytes, st.CorruptedEdgeRounds}, digest, problems)
 	})
 	w.extra["payload.rounds"] = float64(payload.rounds)

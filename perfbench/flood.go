@@ -8,7 +8,10 @@ import (
 )
 
 // flood-rounds: one reused Scenario runs FloodMax for floodR rounds on
-// circulant16384 (k=4), fault-free, on the shard engine, over and over. The
+// circulant16384 (k=4), fault-free, on the shard engine with floodShards
+// shards, over and over. On the benchmark's single thread the shards'
+// phases and barriers still run, interleaved, so the pool's work is
+// measured without the host's scheduling in it. The
 // round loop dominates and the fault-free zero-alloc path is the one that
 // runs; set-up is under a tenth of a run, so set-up-only changes should
 // barely move it. Loads internal/congest (shard engine) and internal/graph
@@ -18,6 +21,9 @@ const (
 	floodN = 16384
 	floodK = 4
 	floodR = 32
+	// floodShards > 1 keeps the shard pool in the run; 1 would run every
+	// round on the coordinator alone.
+	floodShards = 2
 )
 
 type floodRounds struct {
@@ -29,29 +35,31 @@ type floodRounds struct {
 
 func newFloodRounds(cfg config, _ *tally) workload { return &floodRounds{cfg: cfg} }
 
-func (f *floodRounds) setup(tr *tracer) error {
+func (f *floodRounds) setup(tr *tracer) (time.Duration, error) {
 	id, end := tr.root("setup", "bench.setup")
 	defer end()
-	var err error
-	tr.timed("setup", id, "graph.build", func() { f.g, err = mc.BuildTopology("circulant", floodN, floodK) })
-	if err != nil {
+	return cpuCost(func() error {
+		var err error
+		tr.timed("setup", id, "graph.build", func() { f.g, err = mc.BuildTopology("circulant", floodN, floodK) })
+		if err != nil {
+			return err
+		}
+		tr.timed("setup", id, "mobilecongest.protocol.build", func() {
+			f.proto, _, err = mc.BuildProtocol("floodmax", f.g, mc.ProtoParams{Rounds: floodR})
+		})
 		return err
-	}
-	tr.timed("setup", id, "mobilecongest.protocol.build", func() {
-		f.proto, _, err = mc.BuildProtocol("floodmax", f.g, mc.ProtoParams{Rounds: floodR})
 	})
-	return err
 }
 
 func (f *floodRounds) measure(more keepGoing, tr *tracer) *window {
 	if f.want == nil {
 		f.want = floodMaxOracle(f.g, floodR)
 	}
-	w := newWindow()
+	w := newWindow(f.cfg.probe)
 	opts := []mc.ScenarioOption{
 		mc.WithGraph(f.g),
 		mc.WithProtocol(f.proto),
-		mc.WithEngineName("shard"),
+		mc.WithEngine(mc.NewShardEngine(floodShards)),
 		mc.WithSeed(f.cfg.seed),
 	}
 	var obs *runObserver
@@ -60,10 +68,10 @@ func (f *floodRounds) measure(more keepGoing, tr *tracer) *window {
 		opts = append(opts, mc.WithObserver(obs))
 	}
 	sc := mc.NewScenario(opts...)
-	w.drive(more, 1, func(i int) {
+	w.drive(more, func(i int) {
 		run := fmt.Sprintf("run-%d", i)
 		id, end := tr.root(run, "bench.run")
-		start := time.Now()
+		start := selfCPU()
 		var tStart int64
 		var rtStart rtSample
 		if obs != nil {
@@ -71,13 +79,13 @@ func (f *floodRounds) measure(more keepGoing, tr *tracer) *window {
 			tStart, rtStart = tr.now(), obs.rt.read()
 		}
 		res, err := sc.Run()
-		runMS := float64(time.Since(start).Microseconds()) / 1000
+		cpu := selfCPU() - start
 		if obs != nil {
 			obs.emit(run, id, "mobilecongest.scenario.run", tStart, tr.now(), rtStart, obs.rt.read())
 		}
 		if err != nil {
 			end()
-			w.done(i, runMS, []float64{runMS}, 1, 0, simCounts{}, "", []string{"run error: " + err.Error()})
+			w.done(i, cpu, nil, 1, 0, simCounts{}, "", []string{"run error: " + err.Error()})
 			return
 		}
 		var problems []string
@@ -87,7 +95,7 @@ func (f *floodRounds) measure(more keepGoing, tr *tracer) *window {
 		digest := runDigest(res)
 		end()
 		st := res.Stats
-		w.done(i, float64(time.Since(start).Microseconds())/1000, []float64{runMS}, 1, st.Messages,
+		w.done(i, cpu, nil, 1, st.Messages,
 			simCounts{st.Rounds, st.Messages, st.Bytes, st.CorruptedEdgeRounds}, digest, problems)
 	})
 	return w

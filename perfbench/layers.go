@@ -73,7 +73,7 @@ func layerMetrics(tr *tracer, w *window) map[string]metric {
 	set("adversary.corrupted_edge_rounds", float64(w.counts.corrupted))
 	set("resilient.build_ms", tr.medianMS("resilient.build"))
 	set("graph.build_ms", tr.medianMS("graph.build"))
-	if ops := float64(len(w.reqMS)); ops > 0 {
+	if ops := float64(len(w.opMS)); ops > 0 {
 		set("runtime.alloc_mb_per_op", float64(w.rtEnd.allocBytes-w.rtStart.allocBytes)/mib/ops)
 		set("runtime.gc_cycles", float64(w.rtEnd.gcCycles-w.rtStart.gcCycles)/ops)
 	}

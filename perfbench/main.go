@@ -16,11 +16,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -38,17 +39,19 @@ type config struct {
 	trace    bool
 	server   string // mobilesimd binary (served-sweep)
 	traceDir string // where the traced run's spans are written
+	probe    *speedProbe
 }
 
 // setupReps is how many times a run performs its set-up; setup_s is the
 // median, so one slow start does not move it.
-const setupReps = 5
+const setupReps = 9
 
 // workload is one benchmark workload. setup builds everything the timed
-// operations use and is run setupReps times (the last build is kept);
-// measure runs the timed window, traced when tr is non-nil.
+// operations use, returns the CPU time that took in the process doing the
+// work, and is run setupReps times (the last build is kept); measure runs
+// the timed window, traced when tr is non-nil.
 type workload interface {
-	setup(tr *tracer) error
+	setup(tr *tracer) (time.Duration, error)
 	measure(more keepGoing, tr *tracer) *window
 	// layers adds the workload's own per-layer metrics to a traced run's.
 	layers(tr *tracer, w *window, m map[string]metric)
@@ -75,7 +78,15 @@ func main() {
 	flag.IntVar(&traceFlag, "trace", 0, "1 = traced run reporting per-layer metrics")
 	flag.StringVar(&cfg.server, "server", "", "path to the mobilesimd binary")
 	flag.StringVar(&cfg.traceDir, "trace-dir", "", "directory for the traced run's span file")
+	probe := flag.Bool("speed-probe", false, "run as the host speed probe (speed.go)")
 	flag.Parse()
+	// One thread on one CPU does all the work, so its CPU time is the
+	// work's (cpu.go), and the speed probe runs where it runs (speed.go).
+	runtime.GOMAXPROCS(1)
+	if *probe {
+		runSpeedProbe()
+		return
+	}
 	cfg.window = time.Duration(seconds * float64(time.Second))
 	cfg.trace = traceFlag == 1
 	mk, ok := workloads[cfg.workload]
@@ -83,7 +94,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfbench: need --workload (one of %s), --seconds > 0, --trace 0|1\n", strings.Join(names(), ", "))
 		os.Exit(2)
 	}
-	res, err := run(cfg, mk)
+	res, err := start(cfg, mk)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
@@ -109,6 +120,23 @@ type result struct {
 	Metrics   map[string]metric `json:"metrics"`
 }
 
+// start pins the process to one CPU, starts the speed probe beside it, and
+// runs the benchmark, stopping the probe on the way out.
+func start(cfg config, mk func(config, *tally) workload) (result, error) {
+	if err := pinToOneCPU(); err != nil {
+		return result{}, fmt.Errorf("pinning to one CPU: %w", err)
+	}
+	var err error
+	if cfg.probe, err = startSpeedProbe(); err != nil {
+		return result{}, err
+	}
+	res, err := run(cfg, mk)
+	if perr := cfg.probe.stop(); perr != nil && err == nil {
+		err = perr
+	}
+	return res, err
+}
+
 // run performs one invocation: set-up, the measured window, checks, and the
 // metric summary. An error means the benchmark could not run at all.
 func run(cfg config, mk func(config, *tally) workload) (result, error) {
@@ -118,11 +146,12 @@ func run(cfg config, mk func(config, *tally) workload) (result, error) {
 
 	var setupS []float64
 	for i := 0; i < setupReps; i++ {
-		start := time.Now()
-		if err := w.setup(nil); err != nil {
+		before := cfg.probe.mustRead()
+		cpu, err := w.setup(nil)
+		if err != nil {
 			return result{}, fmt.Errorf("setup: %w", err)
 		}
-		setupS = append(setupS, time.Since(start).Seconds())
+		setupS = append(setupS, scale(ms(cpu), before, cfg.probe.mustRead())/1000)
 	}
 
 	var metrics map[string]metric
@@ -130,14 +159,18 @@ func run(cfg config, mk func(config, *tally) workload) (result, error) {
 		win := w.measure(until(cfg.window), nil)
 		t.merge(&win.tally)
 		metrics = win.endToEnd(median(setupS), w.peakRSSMB())
-		fmt.Printf("run_ms_tail: %s\nreq_ms_tail: %s\n", tailOf(win.runMS), tailOf(win.reqMS))
+		fmt.Printf("op_ms_tail: %s\n", tailOf(win.opMS))
+		fmt.Printf("window: %d operations in %.3f s wall; unscaled CPU ms per operation p50 %.4g\n",
+			len(win.opMS), win.wall.Seconds(), median(win.cpuMS))
+		fmt.Printf("speed index: p50 %.4g ms, range %.4g to %.4g (nominal %g)\n",
+			median(win.speed), slices.Min(win.speed), slices.Max(win.speed), speedNominal)
 	} else {
 		// An untraced window over half the time gives the tracing-overhead
 		// baseline and the reference outputs for the parity check; the
 		// traced window then repeats exactly the operations it ran.
 		plain := w.measure(until(cfg.window/2), nil)
 		tr := newTracer()
-		if err := w.setup(tr); err != nil {
+		if _, err := w.setup(tr); err != nil {
 			return result{}, fmt.Errorf("traced setup: %w", err)
 		}
 		traced := w.measure(func(i int) bool { return plain.ops[i] }, tr)
@@ -177,15 +210,17 @@ func (t *tally) merge(o *tally) {
 	}
 }
 
-// window is what one measured window observed. Operations are dealt
-// indices from a counter, and operation i does the same work in every run
-// with the same seed, so results can be compared by index.
+// window is what one measured window observed. Operations are numbered
+// from 0, and operation i does the same work in every run with the same
+// seed, so results can be compared by index.
 type window struct {
-	mu      sync.Mutex
+	probe   *speedProbe
 	wall    time.Duration
 	tally   tally
-	reqMS   []float64 // one client operation: a call or request, start to last result
-	runMS   []float64 // one Scenario.Run
+	cpuMS   []float64 // CPU time of each operation
+	opMS    []float64 // the same at reference speed, filled in by drive
+	speed   []float64 // index readings before operation 0 and after each operation
+	cellMS  []float64 // wall time of each plan cell (Record.ElapsedMS)
 	cells   int       // records (or runs) completed
 	msgs    int       // simulated messages delivered
 	ops     map[int]bool
@@ -210,8 +245,8 @@ func (c *simCounts) add(o simCounts) {
 	c.corrupted += o.corrupted
 }
 
-func newWindow() *window {
-	return &window{ops: map[int]bool{}, digests: map[int]string{}, extra: map[string]float64{}}
+func newWindow(probe *speedProbe) *window {
+	return &window{probe: probe, ops: map[int]bool{}, digests: map[int]string{}, extra: map[string]float64{}}
 }
 
 // keepGoing reports whether a window should run operation i.
@@ -227,40 +262,32 @@ func until(d time.Duration) keepGoing {
 	}
 }
 
-// drive deals operation indices in order to clients goroutines until more
-// declines one, each client issuing its next operation only after the
-// previous one returns (closed loop), and records the wall time until the
-// last operation finished.
-func (w *window) drive(more keepGoing, clients int, op func(i int)) {
-	var next atomic.Int64
-	start := time.Now()
+// drive runs operations 0, 1, … one after another until more declines one
+// (a closed loop with one client), reads the host speed index around each,
+// and records the wall time until the last operation finished. Each
+// operation reports its CPU time through done exactly once.
+func (w *window) drive(more keepGoing, op func(i int)) {
 	rt := newRTReader()
 	w.rtStart = rt.read()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); more(i); i = int(next.Add(1) - 1) {
-				op(i)
-			}
-		}()
+	w.speed = append(w.speed[:0], w.probe.mustRead())
+	start := time.Now()
+	for i := 0; more(i); i++ {
+		op(i)
+		w.speed = append(w.speed, w.probe.mustRead())
+		w.opMS = append(w.opMS, scale(w.cpuMS[i], w.speed[i], w.speed[i+1]))
 	}
-	wg.Wait()
 	w.wall = time.Since(start)
 	w.rtEnd = rt.read()
 }
 
-// done records one finished operation under the window's lock.
-func (w *window) done(i int, reqMS float64, runMS []float64, cells, msgs int, counts simCounts, digest string, problems []string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// done records one finished operation and the CPU time it took.
+func (w *window) done(i int, cpu time.Duration, cellMS []float64, cells, msgs int, counts simCounts, digest string, problems []string) {
 	w.ops[i] = true
 	if i < countedOps {
 		w.counts.add(counts)
 	}
-	w.reqMS = append(w.reqMS, reqMS)
-	w.runMS = append(w.runMS, runMS...)
+	w.cpuMS = append(w.cpuMS, ms(cpu))
+	w.cellMS = append(w.cellMS, cellMS...)
 	w.cells += cells
 	w.msgs += msgs
 	if digest != "" {
@@ -269,18 +296,19 @@ func (w *window) done(i int, reqMS float64, runMS []float64, cells, msgs int, co
 	w.tally.op(problems...)
 }
 
-// endToEnd computes the end-to-end metrics of an untraced window.
+// endToEnd computes the end-to-end metrics of a window. Every time is CPU
+// time at reference speed (speed.go); throughput is per second of it.
 func (w *window) endToEnd(setupS, rssMB float64) map[string]metric {
-	secs := w.wall.Seconds()
-	run, req := tailOf(w.runMS), tailOf(w.reqMS)
+	var secs float64
+	for _, x := range w.opMS {
+		secs += x / 1000
+	}
 	return map[string]metric{
 		"setup_s":        {setupS, "s"},
 		"cells_per_s":    {ratio(float64(w.cells), secs), "1/s"},
 		"sim_msgs_per_s": {ratio(float64(w.msgs), secs), "1/s"},
-		"run_ms_p50":     {median(w.runMS), "ms"},
-		"run_ms_tail":    {run.Value, "ms"},
-		"req_ms_p50":     {median(w.reqMS), "ms"},
-		"req_ms_tail":    {req.Value, "ms"},
+		"op_ms_p50":      {median(w.opMS), "ms"},
+		"op_ms_tail":     {tailOf(w.opMS).Value, "ms"},
 		"peak_rss_mb":    {rssMB, "MB"},
 	}
 }

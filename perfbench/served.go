@@ -10,25 +10,26 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	mc "mobilecongest"
 )
 
 // served-sweep: a mobilesimd built from the tree under test, memory-only
-// cache, -max-workers 2, driven by two closed-loop HTTP clients. Each
-// client walks chains of PlanSpecs ("workers":1, mid-size cells, n 1024 to
-// 4096); every request after a chain's first extends the one before with
+// cache, GOMAXPROCS 1, driven by one closed-loop HTTP client. The client
+// walks chains of PlanSpecs ("workers":1, mid-size cells, n 1024 to 4096);
+// every request after a chain's first extends the one before with
 // one more rep, so half of a chain's cells were served before and, because
 // CellSeed keeps the seeds of surviving cells, hit the cache. The only workload through internal/resultcache, HTTP and NDJSON,
 // with cache writes (misses put) beside reads (hits). Loads cmd/mobilesimd,
 // internal/resultcache, mobilecongest (Plan, PlanSpec) and, inside the
 // server, internal/congest and internal/graph; the runtime counters of the
 // server process are not observable from the client, so the runtime layer
-// reads 0 here.
+// reads 0 here. Timings are the server's CPU time.
 const (
-	servedClients = 2
+	// servedWorkers is the server's -max-workers. Each request asks for one
+	// worker; the second keeps a request that arrives while the previous
+	// one is still releasing its worker from being refused with 429.
 	servedWorkers = 2
 	// verifyEvery: the records of one chain in verifyEvery are recomputed
 	// in-process after the window. Recomputing every chain would take as
@@ -80,12 +81,12 @@ type servedSweep struct {
 }
 
 func newServedSweep(cfg config, t *tally) workload {
-	return &servedSweep{cfg: cfg, tal: t, http: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: servedClients}}}
+	return &servedSweep{cfg: cfg, tal: t, http: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}}
 }
 
-// setup starts a fresh server (stopping the previous one): set-up time runs
-// from process start to the first 200 from /healthz.
-func (s *servedSweep) setup(tr *tracer) error {
+// setup starts a fresh server (stopping the previous one): set-up time is
+// the server's CPU time from process start to its first 200 from /healthz.
+func (s *servedSweep) setup(tr *tracer) (time.Duration, error) {
 	if s.srv != nil {
 		if err := s.srv.stop(); err != nil {
 			s.tal.fail(err.Error())
@@ -96,7 +97,10 @@ func (s *servedSweep) setup(tr *tracer) error {
 	id, end := tr.root("setup", "bench.setup")
 	defer end()
 	tr.timed("setup", id, "mobilesimd.start", func() { s.srv, err = startServer(s.cfg.server, servedWorkers) })
-	return err
+	if err != nil {
+		return 0, err
+	}
+	return s.srv.startCPU, nil
 }
 
 func (s *servedSweep) close(t *tally) {
@@ -137,23 +141,24 @@ func (s *servedSweep) stats() (statsReply, error) {
 type served struct {
 	lines     [][]byte
 	recs      []mc.Record
-	reqMS     float64
+	reqMS     float64       // wall time
+	cpu       time.Duration // the server's CPU time meanwhile
 	ttfrMS    float64
 	status    int
 	transport error
 }
 
 // post sends a spec and reads the NDJSON stream to its end.
-func (s *servedSweep) post(sp mc.PlanSpec, tr *tracer, run string) served {
+func (s *servedSweep) post(sp mc.PlanSpec, tr *tracer, run string) (out served) {
 	body, _ := json.Marshal(sp)
-	var out served
 	id, end := tr.root(run, "bench.request")
 	defer end()
 	var t0, t1 int64
 	if tr != nil {
 		t0 = tr.now()
 	}
-	start := time.Now()
+	start, cpu := time.Now(), s.srv.cpu()
+	defer func() { out.cpu = s.srv.cpu() - cpu }()
 	resp, err := s.http.Post(s.srv.base+"/sweep", "application/json", bytes.NewReader(body))
 	if err != nil {
 		out.transport = err
@@ -196,7 +201,7 @@ func (s *servedSweep) post(sp mc.PlanSpec, tr *tracer, run string) served {
 }
 
 func (s *servedSweep) measure(more keepGoing, tr *tracer) *window {
-	w := newWindow()
+	w := newWindow(s.cfg.probe)
 	before, err := s.stats()
 	if err != nil {
 		w.tally.fail("/stats before the window: " + err.Error())
@@ -204,73 +209,55 @@ func (s *servedSweep) measure(more keepGoing, tr *tracer) *window {
 	var ttfr, overhead []float64
 	hits := 0
 	verify := map[int][]mc.Record{} // chain → every record served for it
-	rt := newRTReader()
-	w.rtStart = rt.read()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < servedClients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var cold map[string][]byte // the first line served for each cell of the current chain
-			for j := 0; more(j*servedClients + c); j++ {
-				ch, step := (j/chainSteps)*servedClients+c, j%chainSteps
-				if step == 0 {
-					cold = map[string][]byte{}
-				}
-				i := j*servedClients + c
-				sp := chainSpec(s.cfg.seed, ch, step)
-				out := s.post(sp, tr, fmt.Sprintf("req-%d", i))
-				var problems []string
-				switch {
-				case out.transport != nil:
-					problems = append(problems, "request: "+out.transport.Error())
-				case out.status != http.StatusOK:
-					problems = append(problems, fmt.Sprintf("request: status %d", out.status))
-				case len(out.recs) != sp.Cells():
-					problems = append(problems, fmt.Sprintf("request: %d records, want %d", len(out.recs), sp.Cells()))
-				}
-				var runMS []float64
-				var fresh float64
-				var counts simCounts
-				replays := 0
-				for k, r := range out.recs {
-					if r.Error != "" {
-						problems = append(problems, "record error: "+r.Error)
-					}
-					counts.add(simCounts{r.Rounds, r.Messages, r.Bytes, r.CorruptedEdgeRounds})
-					if first, ok := cold[r.Name]; ok {
-						replays++
-						if !bytes.Equal(first, out.lines[k]) {
-							problems = append(problems, "cache replay differs from its cold record: "+r.Name)
-						}
-						continue
-					}
-					cold[r.Name] = out.lines[k]
-					runMS = append(runMS, r.ElapsedMS)
-					fresh += r.ElapsedMS
-				}
-				digest := ""
-				for _, r := range out.recs {
-					digest += recordKey(r)
-				}
-				w.mu.Lock()
-				hits += replays
-				if len(out.lines) > 0 {
-					ttfr = append(ttfr, out.ttfrMS)
-					overhead = append(overhead, out.reqMS-fresh)
-				}
-				if ch%verifyEvery == int(uint64(s.cfg.seed)%verifyEvery) {
-					verify[ch] = append(verify[ch], out.recs...)
-				}
-				w.mu.Unlock()
-				w.done(i, out.reqMS, runMS, len(out.recs), counts.messages, counts, digest, problems)
+	var cold map[string][]byte      // the first line served for each cell of the current chain
+	w.drive(more, func(i int) {
+		ch, step := i/chainSteps, i%chainSteps
+		if step == 0 {
+			cold = map[string][]byte{}
+		}
+		sp := chainSpec(s.cfg.seed, ch, step)
+		out := s.post(sp, tr, fmt.Sprintf("req-%d", i))
+		var problems []string
+		switch {
+		case out.transport != nil:
+			problems = append(problems, "request: "+out.transport.Error())
+		case out.status != http.StatusOK:
+			problems = append(problems, fmt.Sprintf("request: status %d", out.status))
+		case len(out.recs) != sp.Cells():
+			problems = append(problems, fmt.Sprintf("request: %d records, want %d", len(out.recs), sp.Cells()))
+		}
+		var cellMS []float64
+		var fresh float64
+		var counts simCounts
+		for k, r := range out.recs {
+			if r.Error != "" {
+				problems = append(problems, "record error: "+r.Error)
 			}
-		}()
-	}
-	wg.Wait()
-	w.wall = time.Since(start)
-	w.rtEnd = rt.read()
+			counts.add(simCounts{r.Rounds, r.Messages, r.Bytes, r.CorruptedEdgeRounds})
+			if first, ok := cold[r.Name]; ok {
+				hits++
+				if !bytes.Equal(first, out.lines[k]) {
+					problems = append(problems, "cache replay differs from its cold record: "+r.Name)
+				}
+				continue
+			}
+			cold[r.Name] = out.lines[k]
+			cellMS = append(cellMS, r.ElapsedMS)
+			fresh += r.ElapsedMS
+		}
+		digest := ""
+		for _, r := range out.recs {
+			digest += recordKey(r)
+		}
+		if len(out.lines) > 0 {
+			ttfr = append(ttfr, out.ttfrMS)
+			overhead = append(overhead, out.reqMS-fresh)
+		}
+		if ch%verifyEvery == int(uint64(s.cfg.seed)%verifyEvery) {
+			verify[ch] = append(verify[ch], out.recs...)
+		}
+		w.done(i, out.cpu, cellMS, len(out.recs), counts.messages, counts, digest, problems)
+	})
 
 	after, err := s.stats()
 	if err != nil {
@@ -301,7 +288,6 @@ func (s *servedSweep) verify(chains map[int][]mc.Record, w *window) {
 	checked := 0
 	for ch, recs := range chains {
 		sp := chainSpec(s.cfg.seed, ch, chainSteps-1)
-		sp.Workers = servedWorkers
 		p, err := sp.Plan()
 		if err != nil {
 			w.tally.fail("verify: " + err.Error())
@@ -337,12 +323,12 @@ func (s *servedSweep) layers(tr *tracer, w *window, m map[string]metric) {
 	set("mobilesimd.overhead_ms", w.extra["overhead_ms"])
 	set("mobilesimd.server_p50_ms", w.extra["server_p50_ms"])
 	set("mobilesimd.rejected", w.extra["rejected"])
-	set("plan.cell_ms", median(w.runMS))
+	set("plan.cell_ms", median(w.cellMS))
 	var busy float64
-	for _, x := range w.runMS {
+	for _, x := range w.cellMS {
 		busy += x
 	}
-	set("plan.worker_busy", ratio(busy, servedWorkers*float64(w.wall.Milliseconds())))
+	set("plan.worker_busy", ratio(busy, ms(w.wall)))
 	for _, k := range []string{"runtime.alloc_mb_per_op", "runtime.gc_cycles", "runtime.gc_cpu_fraction"} {
 		set(k, 0)
 	}

@@ -23,7 +23,12 @@ type server struct {
 	base string
 	done chan struct{} // closed once the process has been reaped
 	err  error         // the process's exit status, valid after done
+	// startCPU is the server's CPU time when it first answered /healthz.
+	startCPU time.Duration
 }
+
+// cpu is the CPU time the server process has used so far.
+func (s *server) cpu() time.Duration { return pidCPU(s.cmd.Process.Pid) }
 
 // live tracks the running servers so a signal to the benchmark stops them
 // before it exits.
@@ -33,7 +38,8 @@ var live = struct {
 	once sync.Once
 }{m: map[*server]bool{}}
 
-// startServer launches bin and waits for its first 200 from /healthz.
+// startServer launches bin on one thread (GOMAXPROCS 1, see cpu.go) and
+// waits for its first 200 from /healthz.
 func startServer(bin string, workers int) (*server, error) {
 	if bin == "" {
 		return nil, errors.New("served-sweep needs --server (the mobilesimd binary)")
@@ -45,6 +51,7 @@ func startServer(bin string, workers int) (*server, error) {
 	s := &server{addr: "127.0.0.1:" + strconv.Itoa(port), done: make(chan struct{})}
 	s.base = "http://" + s.addr
 	s.cmd = exec.Command(bin, "-addr", s.addr, "-max-workers", strconv.Itoa(workers))
+	s.cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
 	s.cmd.Stdout, s.cmd.Stderr = os.Stderr, os.Stderr
 	// The kernel kills the server if the benchmark dies without cleaning up.
 	s.cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
@@ -63,6 +70,7 @@ func startServer(bin string, workers int) (*server, error) {
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
+				s.startCPU = s.cpu()
 				return s, nil
 			}
 		}
@@ -119,17 +127,23 @@ func watchSignals() {
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
 		go func() {
 			sig := <-ch
-			live.Lock()
-			var all []*server
-			for s := range live.m {
-				all = append(all, s)
-			}
-			live.Unlock()
-			for _, s := range all {
-				_ = s.stop()
-			}
+			stopServers()
 			fmt.Fprintln(os.Stderr, "perfbench: stopped by", sig)
 			os.Exit(1)
 		}()
 	})
+}
+
+// stopServers stops every live server, on the way out of a run that cannot
+// finish.
+func stopServers() {
+	live.Lock()
+	var all []*server
+	for s := range live.m {
+		all = append(all, s)
+	}
+	live.Unlock()
+	for _, s := range all {
+		_ = s.stop() // the run is being abandoned; a failed stop has no one to report to
+	}
 }

@@ -179,3 +179,14 @@ func TestCheckSweepRecord(t *testing.T) {
 		}
 	}
 }
+
+func TestScale(t *testing.T) {
+	// At the nominal index a CPU time is reported as it is; on a host twice
+	// as slow (twice the index) it is halved.
+	if got := scale(100, speedNominal, speedNominal); got != 100 {
+		t.Errorf("scale at nominal speed = %v, want 100", got)
+	}
+	if got := scale(100, speedNominal, 3*speedNominal); got != 50 {
+		t.Errorf("scale at half speed = %v, want 50", got)
+	}
+}

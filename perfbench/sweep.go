@@ -39,9 +39,13 @@ func newSweepSetup(cfg config, _ *tally) workload { return &sweepSetup{cfg: cfg}
 
 // setup builds each family's graph through the registry, as the sweeps
 // will, and keeps the edge counts the record checks need.
-func (s *sweepSetup) setup(tr *tracer) error {
+func (s *sweepSetup) setup(tr *tracer) (time.Duration, error) {
 	id, end := tr.root("setup", "bench.setup")
 	defer end()
+	return cpuCost(func() error { return s.build(tr, id) })
+}
+
+func (s *sweepSetup) build(tr *tracer, id int64) error {
 	s.edges = map[string]int{}
 	for _, topo := range sweepTopologies {
 		var g *mc.Graph
@@ -70,10 +74,10 @@ func (s *sweepSetup) plan(adv string) mc.Plan {
 }
 
 func (s *sweepSetup) measure(more keepGoing, tr *tracer) *window {
-	w := newWindow()
+	w := newWindow(s.cfg.probe)
 	firstKeys := make([]map[string]string, len(sweepAdversaries)) // records of the first sweep per adversary
 	var firstRec, busy []float64
-	w.drive(more, 1, func(i int) {
+	w.drive(more, func(i int) {
 		adv := sweepAdversaries[i%len(sweepAdversaries)]
 		run := fmt.Sprintf("sweep-%d", i)
 		id, end := tr.root(run, "bench.sweep")
@@ -82,7 +86,7 @@ func (s *sweepSetup) measure(more keepGoing, tr *tracer) *window {
 		if tr != nil {
 			p.Observers = cells.observers
 		}
-		start := time.Now()
+		start, cpu := time.Now(), selfCPU()
 		var recs []mc.Record
 		var problems []string
 		var first float64
@@ -97,11 +101,11 @@ func (s *sweepSetup) measure(more keepGoing, tr *tracer) *window {
 			cells.delivered(rec)
 			recs = append(recs, rec)
 		}
-		elapsed := time.Since(start)
+		elapsed, opCPU := time.Since(start), selfCPU()-cpu
 		cells.finish()
 		end()
 
-		var runMS []float64
+		var cellMS []float64
 		var sum float64
 		var counts simCounts
 		keys := map[string]string{}
@@ -109,7 +113,7 @@ func (s *sweepSetup) measure(more keepGoing, tr *tracer) *window {
 			if p := checkSweepRecord(r, s.edges[r.Topology]); p != "" {
 				problems = append(problems, p)
 			}
-			runMS = append(runMS, r.ElapsedMS)
+			cellMS = append(cellMS, r.ElapsedMS)
 			sum += r.ElapsedMS
 			counts.add(simCounts{r.Rounds, r.Messages, r.Bytes, r.CorruptedEdgeRounds})
 			keys[r.Name] = recordKey(r)
@@ -117,7 +121,6 @@ func (s *sweepSetup) measure(more keepGoing, tr *tracer) *window {
 		if len(recs) != 12 {
 			problems = append(problems, fmt.Sprintf("%s sweep: %d records, want 12", adv, len(recs)))
 		}
-		w.mu.Lock()
 		// Every sweep under one adversary repeats the same cells and seeds,
 		// so its records must equal that adversary's first sweep exactly.
 		if ref := firstKeys[i%len(sweepAdversaries)]; ref == nil {
@@ -130,9 +133,8 @@ func (s *sweepSetup) measure(more keepGoing, tr *tracer) *window {
 			}
 		}
 		firstRec = append(firstRec, first)
-		busy = append(busy, sum/(float64(runtime.GOMAXPROCS(0))*float64(elapsed.Microseconds())/1000))
-		w.mu.Unlock()
-		w.done(i, float64(elapsed.Microseconds())/1000, runMS, len(recs), counts.messages, counts, digestKeys(keys), problems)
+		busy = append(busy, sum/(float64(runtime.GOMAXPROCS(0))*ms(elapsed)))
+		w.done(i, opCPU, cellMS, len(recs), counts.messages, counts, digestKeys(keys), problems)
 	})
 	w.extra["plan.first_record_ms"] = median(firstRec)
 	w.extra["plan.worker_busy"] = median(busy)
@@ -154,7 +156,7 @@ func digestKeys(keys map[string]string) string {
 }
 
 func (s *sweepSetup) layers(tr *tracer, w *window, m map[string]metric) {
-	m["plan.cell_ms"] = metric{median(w.runMS), "ms"}
+	m["plan.cell_ms"] = metric{median(w.cellMS), "ms"}
 	m["plan.worker_busy"] = metric{w.extra["plan.worker_busy"], "ratio"}
 	m["plan.first_record_ms"] = metric{w.extra["plan.first_record_ms"], "ms"}
 }
