@@ -280,7 +280,10 @@ func TestConcurrentClientsSharedCache(t *testing.T) {
 		if i%4 >= 2 {
 			adv = `"adversaries":["none","flip"]`
 		}
-		specs[i] = fmt.Sprintf(`{%s,%s,"fs":[2],"reps":2,"base_seed":7}`, extra, adv)
+		// One worker each: a spec without "workers" is granted GOMAXPROCS
+		// of them, and on a multi-core host a few such requests would
+		// exhaust the 8-worker budget and draw 429s.
+		specs[i] = fmt.Sprintf(`{%s,%s,"fs":[2],"reps":2,"base_seed":7,"workers":1}`, extra, adv)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(specs))

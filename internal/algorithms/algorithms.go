@@ -6,9 +6,11 @@
 // All protocols here are port-native: they program against
 // congest.PortRuntime (via congest.Ports), moving each round through the
 // runtime's reusable port buffers instead of allocating outbox/inbox maps.
-// One payload buffer is shared across all ports of a round — delivery is by
-// reference and corruptors clone before mutating, so this is safe and drops
-// the per-neighbour message allocation too.
+// One payload buffer is shared across all ports of a round, and the
+// word-sized protocols reuse that buffer every round: the engine copies each
+// sent payload into its round arena before the node resumes, so a protocol
+// may overwrite what it sent as soon as its exchange returns. A node's
+// rounds therefore allocate nothing.
 package algorithms
 
 import (
@@ -42,9 +44,10 @@ func FloodMax(rounds int) congest.Protocol {
 	return func(rt congest.Runtime) {
 		pr := congest.Ports(rt)
 		best := uint64(rt.ID())
+		var word [8]byte // this node's payload, rewritten every round
 		for r := 0; r < rounds; r++ {
 			out := pr.OutBuf()
-			m := congest.U64Msg(best)
+			m := congest.Msg(congest.PutU64(word[:0], best))
 			for p := range out {
 				out[p] = m
 			}
@@ -72,12 +75,13 @@ func Broadcast(root graph.NodeID, value uint64, rounds int) congest.Protocol {
 	return func(rt congest.Runtime) {
 		pr := congest.Ports(rt)
 		var have uint64
+		var word [8]byte // this node's payload, rewritten every round
 		if rt.ID() == root {
 			have = value
 		}
 		for r := 0; r < rounds; r++ {
 			out := pr.OutBuf()
-			m := congest.U64Msg(have)
+			m := congest.Msg(congest.PutU64(word[:0], have))
 			for p := range out {
 				out[p] = m
 			}
@@ -106,12 +110,13 @@ func BroadcastInput(root graph.NodeID, rounds int) congest.Protocol {
 	return func(rt congest.Runtime) {
 		pr := congest.Ports(rt)
 		var have uint64
+		var word [8]byte // this node's payload, rewritten every round
 		if rt.ID() == root {
 			have = congest.U64(rt.Input())
 		}
 		for r := 0; r < rounds; r++ {
 			out := pr.OutBuf()
-			m := congest.U64Msg(have)
+			m := congest.Msg(congest.PutU64(word[:0], have))
 			for p := range out {
 				out[p] = m
 			}

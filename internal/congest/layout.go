@@ -29,15 +29,24 @@ type edgeLayout struct {
 }
 
 func newEdgeLayout(g *graph.Graph) *edgeLayout {
+	l := &edgeLayout{}
+	l.build(g)
+	return l
+}
+
+// build (re)derives the layout for g in place, reusing the arrays' capacity
+// when g fits in it.
+func (l *edgeLayout) build(g *graph.Graph) {
 	n := g.N()
-	l := &edgeLayout{g: g, rowStart: make([]int32, n+1)}
+	l.g = g
+	l.rowStart = resize(l.rowStart, n+1)
 	for u := 0; u < n; u++ {
 		l.rowStart[u+1] = l.rowStart[u] + int32(g.Degree(graph.NodeID(u)))
 	}
 	slots := int(l.rowStart[n])
-	l.dirEdges = make([]graph.DirEdge, slots)
-	l.undir = make([]int32, slots)
-	l.revSlot = make([]int32, slots)
+	l.dirEdges = resize(l.dirEdges, slots)
+	l.undir = resize(l.undir, slots)
+	l.revSlot = resize(l.revSlot, slots)
 	for u := 0; u < n; u++ {
 		from := graph.NodeID(u)
 		base := l.rowStart[u]
@@ -50,7 +59,6 @@ func newEdgeLayout(g *graph.Graph) *edgeLayout {
 	for s, de := range l.dirEdges {
 		l.revSlot[s] = l.slot(de.To, de.From)
 	}
-	return l
 }
 
 // degree returns the out-degree (== in-degree) of u in slots.
@@ -97,9 +105,23 @@ type roundBuffer struct {
 }
 
 func newRoundBuffer(l *edgeLayout) *roundBuffer {
-	b := &roundBuffer{layout: l, refs: make([]msgRef, l.slots()), sorted: true}
+	b := &roundBuffer{layout: l}
+	b.rebind()
 	b.ensureChunks(1)
 	return b
+}
+
+// rebind fits the buffer to its layout after the layout was rebuilt for
+// another graph: the slot slab is resized (reusing its capacity) and the
+// previous graph's round is dropped, while the arenas keep their grown
+// chunks.
+func (b *roundBuffer) rebind() {
+	b.refs = resize(b.refs, b.layout.slots())
+	b.touched = b.touched[:0]
+	b.sorted = true
+	b.view = nil
+	b.arenas[0].reset()
+	b.arenas[1].reset()
 }
 
 // reset clears the buffer for reuse: the touched refs are zeroed

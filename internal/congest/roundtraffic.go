@@ -43,11 +43,19 @@ type RoundTraffic struct {
 }
 
 func newRoundTraffic(l *edgeLayout) *RoundTraffic {
-	return &RoundTraffic{
-		mod:       make([]Msg, l.slots()),
-		dirtyBits: make([]uint64, (l.slots()+63)/64),
-		undirMark: make([]bool, l.g.M()),
-	}
+	t := &RoundTraffic{}
+	t.rebind(l)
+	return t
+}
+
+// rebind fits the overlay to l, reusing its capacity. The previous graph's
+// dirty and invalid lists are dropped: their slots may not exist in l.
+func (t *RoundTraffic) rebind(l *edgeLayout) {
+	t.mod = resize(t.mod, l.slots())
+	t.dirtyBits = resize(t.dirtyBits, (l.slots()+63)/64)
+	t.undirMark = resize(t.undirMark, l.g.M())
+	t.dirty = t.dirty[:0]
+	t.invalid = t.invalid[:0]
 }
 
 // NewRoundTraffic builds a free-standing slot view holding the given traffic

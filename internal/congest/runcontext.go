@@ -11,18 +11,29 @@ import (
 // RunContext holds the per-graph simulation state a run builds before its
 // first round: the CSR edge layout, the reusable round buffer and the
 // adversary-boundary scratch, the node-core slab with its per-node RNGs, the
-// inbox fan-out slice, and the internal statistics observer. Rebuilding all
-// of that per run dominates the setup cost of short runs; a RunContext lets
-// repeated runs — a Scenario executed in a loop, a sweep worker grinding
-// through cells on the same topology — reuse the allocations instead.
+// port slabs, the internal statistics observer, and — for the step and shard
+// engines — one parked node coroutine per node index plus the shard engine's
+// worker pool. Rebuilding all of that per run dominates the setup cost of
+// short runs; a RunContext lets repeated runs — a Scenario executed in a
+// loop, a sweep worker grinding through cells — reuse it instead.
 //
 // A context binds lazily to the graph of the first run executed in it and
-// rebinds (rebuilding its state) whenever a run arrives with a different
-// *graph.Graph. Binding is by pointer identity: reuse pays off only when the
-// caller also reuses the Graph value, which Scenario and Sweep do.
+// rebinds whenever a run arrives with a different *graph.Graph. Binding is
+// by pointer identity: a run on the very same Graph value reuses the layout
+// as is (Scenario and Plan share one Graph per topology), while a rebind
+// rebuilds the graph-shaped state inside the capacity it already has, so a
+// worker alternating between graphs of similar size stops allocating after
+// the largest one. The node coroutines and the shard pool are independent of
+// the graph and survive rebinds: a coroutine is created the first time its
+// node index is used and serves every later run.
+//
+// The parked coroutines and pool workers are goroutines. Close stops them;
+// a context dropped without Close has them stopped by a GC cleanup once the
+// context is unreachable, which a parked goroutine never prevents — between
+// runs a node coroutine holds no reference into the context.
 //
 // A RunContext serves one run at a time; sharing one between concurrent runs
-// is a data race. Concurrent callers use one context each (Sweep gives every
+// is a data race. Concurrent callers use one context each (Plan gives every
 // worker its own).
 type RunContext struct {
 	g      *graph.Graph
@@ -42,9 +53,12 @@ type RunContext struct {
 	inSlab  []Msg
 	inClear []int32
 
-	// Shard-engine state: the parked worker pool (persists across runs so
-	// repeated runs reuse goroutines) and the per-shard scratch.
-	pool         *shardPool
+	// park holds the goroutines that outlive a run: the node coroutines and
+	// the shard worker pool. It is split off the context so the GC cleanup
+	// can own it without keeping the context reachable.
+	park *parked
+
+	// Shard-engine scratch.
 	shardCap     int       // LimitShards cap on the default shard count
 	bounds       []int32   // cached shard node boundaries for boundsShards
 	boundsShards int       // shard count bounds was computed for; 0 = stale
@@ -53,11 +67,31 @@ type RunContext struct {
 	shardActive  []int     // per-shard live-node counts
 }
 
+// parked is the context's long-lived goroutine state: nodes[i] is the parked
+// coroutine of node index i, pool the shard engine's workers.
+type parked struct {
+	nodes []*stepNode
+	pool  *shardPool
+}
+
+// close stops every parked coroutine and pool worker. Idempotent; the
+// parked set stays usable and refills on the next run.
+func (p *parked) close() {
+	for _, s := range p.nodes {
+		if s.stop != nil { // nil: a protocol panic already killed it
+			s.stop()
+		}
+	}
+	p.nodes = nil
+	p.pool.close()
+	p.pool = nil
+}
+
 // NewRunContext returns an empty context; it binds to a graph on first use.
 func NewRunContext() *RunContext { return &RunContext{} }
 
 // ContextRunner is implemented by engines that can execute a run inside a
-// reusable RunContext. Both built-in engines implement it; Engine.Run is
+// reusable RunContext. The built-in engines implement it; Engine.Run is
 // equivalent to RunIn with a fresh context.
 type ContextRunner interface {
 	// RunIn executes proto on every node of cfg.Graph, reusing rc's state
@@ -65,35 +99,67 @@ type ContextRunner interface {
 	RunIn(rc *RunContext, cfg Config, proto Protocol) (*Result, error)
 }
 
-// bind points the context at g, rebuilding the graph-shaped state unless the
-// context is already bound to the very same graph.
+// resize returns s with length n and every element zeroed, reusing the
+// backing array when its capacity suffices. The whole old capacity is
+// cleared, so a shrunken slab pins nothing of the graph it last held.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:cap(s)]
+	clear(s)
+	return s[:n]
+}
+
+// bind points the context at g. A context already bound to g keeps its
+// state; otherwise the graph-shaped state is rebuilt in place, inside the
+// capacity earlier graphs left behind.
 func (rc *RunContext) bind(g *graph.Graph) {
 	if rc.g == g {
 		return
 	}
 	rc.g = g
-	rc.layout = newEdgeLayout(g)
-	rc.cur = newRoundBuffer(rc.layout)
-	rc.rt = newRoundTraffic(rc.layout)
-	rc.cores = make([]nodeCore, g.N())
-	rc.outSlab = make([]Msg, rc.layout.slots())
-	rc.inSlab = make([]Msg, rc.layout.slots())
+	if rc.layout == nil {
+		rc.layout = newEdgeLayout(g)
+		rc.cur = newRoundBuffer(rc.layout)
+		rc.rt = newRoundTraffic(rc.layout)
+	} else {
+		rc.layout.build(g)
+		rc.cur.rebind()
+		rc.rt.rebind(rc.layout)
+	}
+	rc.cores = resize(rc.cores, g.N())
+	rc.outSlab = resize(rc.outSlab, rc.layout.slots())
+	rc.inSlab = resize(rc.inSlab, rc.layout.slots())
 	rc.inClear = rc.inClear[:0]
-	rc.stats = NewStatsObserver()
-	rc.boundsShards = 0 // shard boundaries are layout-shaped
+	rc.stats = NewStatsObserver() // its congestion scratch is edge-shaped
+	rc.boundsShards = 0           // shard boundaries are layout-shaped
 	// rc.rngs is deliberately kept: per-node RNGs are graph-independent and
-	// re-seeded per run, so they survive rebinding. The shard pool and the
-	// shard scratch capacities likewise survive: neither depends on the graph.
+	// re-seeded per run, so they survive rebinding. The parked goroutines and
+	// the shard scratch capacities likewise survive.
 }
 
-// Close releases the context's parked shard-pool goroutines, if any. The
-// context stays usable — a later shard-engine run simply re-creates the pool
-// — so Close is about reclaiming goroutines promptly when a worker (a
-// Plan.Stream worker, a finished sweep) retires its context. Contexts
-// abandoned without Close are covered by a GC cleanup, eventually.
+// parkedState returns the context's parked goroutine state, creating it —
+// and registering the GC cleanup that stops it — on first use.
+func (rc *RunContext) parkedState() *parked {
+	if rc.park == nil {
+		rc.park = &parked{}
+		// The cleanup holds the parked set, never the context, so it cannot
+		// pin the context live.
+		runtime.AddCleanup(rc, (*parked).close, rc.park)
+	}
+	return rc.park
+}
+
+// Close stops the context's parked node coroutines and shard-pool workers.
+// The context stays usable — a later run re-creates what it needs — so Close
+// is about reclaiming goroutines promptly when a worker (a Plan.Stream
+// worker, a finished sweep) retires its context. Contexts abandoned without
+// Close are covered by a GC cleanup, eventually.
 func (rc *RunContext) Close() {
-	rc.pool.close()
-	rc.pool = nil
+	if rc.park != nil {
+		rc.park.close()
+	}
 }
 
 // LimitShards caps the shard count a ShardEngine with the default (automatic,
@@ -112,15 +178,12 @@ func (rc *RunContext) ensurePool(workers int) *shardPool {
 	if workers <= 0 {
 		return nil
 	}
-	if rc.pool == nil || rc.pool.size != workers {
-		rc.pool.close()
-		rc.pool = newShardPool(workers)
-		// Safety net for contexts dropped without Close: when the context
-		// becomes unreachable, release the pool's goroutines. The cleanup
-		// holds the pool, not the context, so it never pins the context live.
-		runtime.AddCleanup(rc, func(p *shardPool) { p.close() }, rc.pool)
+	p := rc.parkedState()
+	if p.pool == nil || p.pool.size != workers {
+		p.pool.close()
+		p.pool = newShardPool(workers)
 	}
-	return rc.pool
+	return p.pool
 }
 
 // shardBounds partitions the context's nodes into `shards` contiguous ranges

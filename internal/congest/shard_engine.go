@@ -1,13 +1,10 @@
 package congest
 
-import (
-	"iter"
-	"runtime"
-)
+import "runtime"
 
 // ShardEngine executes every phase of a round as a parallel-for over
-// contiguous CSR node shards. Nodes are the same iter.Pull coroutines the
-// step engine drives, but instead of one scheduler goroutine resuming all of
+// contiguous CSR node shards. Nodes are the same parked coroutines the step
+// engine drives, but instead of one scheduler goroutine resuming all of
 // them, each shard's nodes are stepped by one worker of a persistent pool
 // parked on the RunContext, with a barrier between phases:
 //
@@ -27,8 +24,10 @@ import (
 // views are byte-identical with the other engines — enforced by the
 // cross-engine equivalence suites at several shard counts.
 //
-// The pool persists on the RunContext across runs (sweep cells, repeated
-// Scenario.Run), so the fault-free steady state stays zero-alloc per round.
+// The pool and the node coroutines persist on the RunContext across runs
+// and rebinds (sweep cells, repeated Scenario.Run) until RunContext.Close or
+// the context's GC cleanup stops them, so a warm run creates no goroutines
+// and the fault-free steady state stays zero-alloc per round.
 // Pick this engine for large graphs (n ≳ 10⁴) on multi-core hosts; for small
 // graphs the per-phase barriers cost more than the parallelism returns and
 // the step engine wins.
@@ -70,12 +69,15 @@ func (e ShardEngine) shardCount(rc *RunContext, n int) int {
 
 // RunIn implements ContextRunner.
 func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Result, err error) {
+	if rc == nil {
+		rc = NewRunContext()
+		defer rc.Close()
+	}
 	core, err := newRunCore(rc, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { core.runDone(err) }()
-	rc = core.rc
 	n := core.g.N()
 
 	shards := e.shardCount(rc, n)
@@ -91,33 +93,8 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 	}
 
 	cores := core.newNodeCores()
-	nodes := make([]stepNode, n)
-	// Build the per-node coroutines shard-parallel: at 10⁵–10⁶ nodes the
-	// iter.Pull setup is itself a visible slice of short-run wall time.
-	pool.run(func(k int) {
-		for u := bounds[k]; u < bounds[k+1]; u++ {
-			s := &nodes[u]
-			s.nodeCore = &cores[u]
-			s.next, s.stop = iter.Pull(func(yield func(struct{}) bool) {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(abortSignal); !ok {
-							panic(r)
-						}
-					}
-				}()
-				s.yield = yield
-				proto(s)
-			})
-		}
-	})
-	// Unwind every still-parked coroutine on any exit path; stop is a no-op
-	// on finished ones. Sequential: the run is already over.
-	defer func() {
-		for i := range nodes {
-			nodes[i].stop()
-		}
-	}()
+	nodes := rc.startNodes(cores, proto)
+	defer endNodes(nodes)
 
 	sr := &shardRun{
 		core:    core,
@@ -139,16 +116,19 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 			return nil, err
 		}
 		pool.run(computePhase)
+		// Merge the shards' slot lists before surfacing an error: the next
+		// run's reset clears exactly the merged slots, so a slot collected
+		// just before an abort must be on the list.
 		nActive = 0
 		buf := core.cur
+		for k := 0; k < shards; k++ {
+			buf.touched = append(buf.touched, touched[k]...)
+		}
 		for k := 0; k < shards; k++ {
 			if errs[k] != nil {
 				return nil, errs[k]
 			}
 			nActive += active[k]
-		}
-		for k := 0; k < shards; k++ {
-			buf.touched = append(buf.touched, touched[k]...)
 		}
 		if nActive == 0 {
 			// Every node terminated without exchanging: the round is
@@ -173,7 +153,7 @@ func (e ShardEngine) RunIn(rc *RunContext, cfg Config, proto Protocol) (res *Res
 // CSR-partitioned; each worker k touches only its own slots.
 type shardRun struct {
 	core    *runCore
-	nodes   []stepNode
+	nodes   []*stepNode
 	bounds  []int32
 	touched [][]int32
 	errs    []error
@@ -196,12 +176,12 @@ func (sr *shardRun) computePhase(k int) {
 	tl := sr.touched[k][:0]
 	stepped := sr.active[k]
 	for u := sr.bounds[k]; u < sr.bounds[k+1]; u++ {
-		s := &sr.nodes[u]
+		s := sr.nodes[u]
 		if s.done {
 			continue
 		}
-		if _, alive := s.next(); !alive {
-			s.done = true
+		s.next()
+		if s.done {
 			stepped--
 			continue
 		}

@@ -578,6 +578,11 @@ func runCells(ctx context.Context, workers int, cells []planCell, deliver func(i
 				case <-stop:
 					return
 				}
+				// Let the consumer take the record now: the send only readies
+				// it, and on a single P this worker would otherwise run on
+				// into its next cell, delivering the record up to a scheduler
+				// time slice late.
+				runtime.Gosched()
 			}
 		}()
 	}

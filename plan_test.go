@@ -7,8 +7,11 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
+
+	"mobilecongest/internal/congest"
 )
 
 // TestSweepLoweringPinnedByteIdentical pins the Grid→Plan compat lowering
@@ -138,6 +141,55 @@ func TestPlanStreamMatchesRun(t *testing.T) {
 					workers, w[i].Name, w[i], g[i])
 			}
 		}
+	}
+}
+
+// cellStartLog records the first RoundStart of each cell it is attached to.
+type cellStartLog struct {
+	name string
+	log  *eventLog
+}
+
+func (o cellStartLog) RoundStart(round int) {
+	if round == 0 {
+		o.log.add("start " + o.name)
+	}
+}
+func (cellStartLog) RoundDelivered(int, *RoundView) {}
+func (cellStartLog) RunDone(congest.Stats, error)   {}
+
+type eventLog struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (l *eventLog) add(e string) {
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
+}
+
+// TestPlanStreamDeliversBeforeNextCell: on a single P, Stream hands a
+// finished cell's record to the consumer before the worker starts its next
+// cell, instead of whenever the worker next blocks or is preempted.
+func TestPlanStreamDeliversBeforeNextCell(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	log := &eventLog{}
+	plan := Plan{
+		Axes:      []Axis{NAxis(8, 12, 16, 20)},
+		Workers:   1,
+		Observers: func(name string) []Observer { return []Observer{cellStartLog{name, log}} },
+	}
+	var want []string
+	for rec, err := range plan.Stream(context.Background()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, "start "+rec.Name, "deliver "+rec.Name)
+		log.add("deliver " + rec.Name)
+	}
+	if !reflect.DeepEqual(log.events, want) {
+		t.Fatalf("event order:\n got  %q\n want %q", log.events, want)
 	}
 }
 
