@@ -83,27 +83,41 @@ func BenchmarkRun(b *testing.B) {
 
 // BenchmarkProtocol exercises the protocol-registry axis on the heavier
 // payload fleet: BFS on circulant256 (a long-diameter flood with per-port
-// state) and Borůvka MST on clique64 (MSTClique is a congested-clique
+// state), Borůvka MST on clique64 (MSTClique is a congested-clique
 // protocol, so its cell runs on the clique family — n*n-weight inputs,
-// all-to-all announcements every round). Protocols are resolved by registry
-// name, so this also pins the WithProtocolName build path's overhead.
+// all-to-all announcements every round), and the Theorem 1.6 byzantine
+// compiler (hardened-clique) on clique32 under the mobile flip adversary at
+// f=4, where the compiled protocol's sketches, Reed-Solomon decoding and
+// rsim frames dominate. Protocols are resolved by registry name, so this
+// also pins the WithProtocolName build path's overhead.
 func BenchmarkProtocol(b *testing.B) {
 	cases := []struct {
 		proto, topo string
 		n, k        int
+		adv         string
+		f           int
 	}{
-		{"bfs", "circulant", 256, 4},
-		{"mstclique", "clique", 64, 0},
+		{"bfs", "circulant", 256, 4, "", 0},
+		{"mstclique", "clique", 64, 0, "", 0},
+		{"hardened-clique", "clique", 32, 0, "flip", 4},
 	}
 	for _, engine := range mc.EngineNames() {
 		for _, c := range cases {
-			b.Run(fmt.Sprintf("%s/%s-%s%d", engine, c.proto, c.topo, c.n), func(b *testing.B) {
-				sc := mc.NewScenario(
+			name := fmt.Sprintf("%s/%s-%s%d", engine, c.proto, c.topo, c.n)
+			if c.adv != "" {
+				name += fmt.Sprintf("-%s-f%d", c.adv, c.f)
+			}
+			b.Run(name, func(b *testing.B) {
+				opts := []mc.ScenarioOption{
 					mc.WithTopology(c.topo, c.n, c.k),
 					mc.WithProtocolName(c.proto),
 					mc.WithSeed(1),
 					mc.WithEngineName(engine),
-				)
+				}
+				if c.adv != "" {
+					opts = append(opts, mc.WithAdversaryName(c.adv, c.f))
+				}
+				sc := mc.NewScenario(opts...)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := sc.Run(); err != nil {

@@ -154,9 +154,10 @@ func BFS(root graph.NodeID, rounds int) congest.Protocol {
 			dist = 0
 			parent = root
 		}
+		var word [8]byte // this node's payload, rewritten every round
 		for r := 0; r < rounds; r++ {
 			out := pr.OutBuf()
-			m := congest.U64Msg(uint64(dist + 1))
+			m := congest.Msg(congest.PutU64(word[:0], uint64(dist+1)))
 			for p := range out {
 				out[p] = m
 			}
@@ -195,9 +196,10 @@ func SumToRoot(root graph.NodeID, radius int) congest.Protocol {
 			dist = 0
 			parent = root
 		}
+		var word [8]byte // this node's payload, rewritten every round
 		for r := 0; r < radius; r++ {
 			out := pr.OutBuf()
-			m := congest.U64Msg(uint64(dist + 1))
+			m := congest.Msg(congest.PutU64(word[:0], uint64(dist+1)))
 			for p := range out {
 				out[p] = m
 			}
@@ -220,7 +222,7 @@ func SumToRoot(root graph.NodeID, radius int) congest.Protocol {
 			out := pr.OutBuf()
 			if dist > 0 && r == radius-dist {
 				if p := pr.Port(parent); p >= 0 {
-					out[p] = congest.U64Msg(acc)
+					out[p] = congest.PutU64(word[:0], acc)
 				}
 			}
 			in := pr.ExchangePorts(out)
@@ -242,7 +244,7 @@ func SumToRoot(root graph.NodeID, radius int) congest.Protocol {
 		}
 		for r := 0; r < radius; r++ {
 			out := pr.OutBuf()
-			m := congest.U64Msg(total)
+			m := congest.Msg(congest.PutU64(word[:0], total))
 			for p := range out {
 				out[p] = m
 			}
@@ -268,9 +270,10 @@ func TokenRing(rounds int) congest.Protocol {
 		succPort := pr.Port(successor(rt))
 		token := uint64(rt.ID()) + 1
 		var trace uint64
+		var word [8]byte // this node's payload, rewritten every round
 		for r := 0; r < rounds; r++ {
 			out := pr.OutBuf()
-			out[succPort] = congest.U64Msg(token)
+			out[succPort] = congest.PutU64(word[:0], token)
 			in := pr.ExchangePorts(out)
 			for _, mm := range in {
 				if mm == nil {

@@ -9,14 +9,26 @@ import (
 )
 
 // TestRegistryProtocolsZeroAllocPerRound is the protocol-inclusive twin of
-// TestPortNativeFaultFreeZeroAllocPerRound: the registered floodmax and
-// broadcast protocols, not a test protocol, on a warm reused context. An
-// 8-round run must allocate no more than a 4-round run — neither the engine
-// nor the protocol's own message encoding allocates per round.
+// TestPortNativeFaultFreeZeroAllocPerRound: the registered word-sized
+// protocols, not a test protocol, on a warm reused context, each on a
+// topology it accepts (colorring needs a cycle). A run with the protocol's
+// round parameter at 8 must allocate no more than one at 4 — neither the
+// engine nor the protocol's own message encoding allocates per round.
 func TestRegistryProtocolsZeroAllocPerRound(t *testing.T) {
-	g := graph.Circulant(24, 3)
+	circulant, cycle := graph.Circulant(24, 3), graph.Cycle(24)
 	engines := []congest.ContextRunner{congest.StepEngine{}, congest.ShardEngine{Shards: 3}}
-	for _, name := range []string{"floodmax", "broadcast"} {
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"floodmax", circulant},
+		{"broadcast", circulant},
+		{"bfs", circulant},
+		{"sumtoroot", circulant},
+		{"tokenring", circulant},
+		{"colorring", cycle},
+	} {
+		name, g := c.name, c.g
 		for _, e := range engines {
 			t.Run(name+"/"+e.(congest.Engine).Name(), func(t *testing.T) {
 				rc := congest.NewRunContext()

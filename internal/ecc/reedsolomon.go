@@ -3,6 +3,11 @@
 // codewords. ECCSafeBroadcast (Section 3.2.1) encodes the dominating-mismatch
 // list into one share per spanning tree and decodes the closest codeword at
 // every node; the code here provides exactly that interface.
+//
+// Decode has an O(k^2) fast path for the common uncorrupted word: Newton
+// interpolation through the first k symbols, kept only if it re-encodes to
+// the whole received word. Berlekamp-Welch's linear solve runs only when
+// that check fails.
 package ecc
 
 import (
@@ -133,29 +138,36 @@ func (c *Code) Decode(recv []gf.Elem) ([]gf.Elem, error) {
 
 // interpolateExact treats recv as error-free, interpolates the message from
 // the first k positions, and succeeds only if the re-encoding matches recv
-// exactly.
+// exactly. Interpolation is O(k^2): Newton divided differences, then a
+// Horner-style expansion of the Newton form into monomial coefficients. It
+// yields the unique degree-(k-1) interpolant, the same one a k x k
+// Vandermonde solve would.
 func (c *Code) interpolateExact(recv []gf.Elem) ([]gf.Elem, error) {
-	a := gf.NewMatrix(c.f, c.k, c.k)
-	b := make([]gf.Elem, c.k)
-	for i := 0; i < c.k; i++ {
-		x := c.points[i]
-		pw := gf.Elem(1)
-		for j := 0; j < c.k; j++ {
-			a.Set(i, j, pw)
-			pw = c.f.Mul(pw, x)
+	f, x := c.f, c.points[:c.k]
+	// dd[i] becomes the divided difference [y_0, ..., y_i].
+	dd := make([]gf.Elem, c.k)
+	copy(dd, recv[:c.k])
+	for j := 1; j < c.k; j++ {
+		for i := c.k - 1; i >= j; i-- {
+			dd[i] = f.Div(dd[i]^dd[i-1], x[i]^x[i-j])
 		}
-		b[i] = recv[i]
 	}
-	msg, err := gf.SolveLinear(a, b)
-	if err != nil {
-		return nil, err
+	// msg = dd[k-1], then msg = msg*(X - x_i) + dd[i] for i = k-2 .. 0
+	// (characteristic 2: minus is plus). msg[:deg+1] holds the running
+	// polynomial of degree deg = k-1-i.
+	msg := make([]gf.Elem, c.k)
+	msg[0] = dd[c.k-1]
+	for i := c.k - 2; i >= 0; i-- {
+		deg := c.k - 1 - i
+		for d := deg; d > 0; d-- {
+			msg[d] = msg[d-1] ^ f.Mul(msg[d], x[i])
+		}
+		msg[0] = f.Mul(msg[0], x[i]) ^ dd[i]
 	}
-	cw, err := c.Encode(msg)
-	if err != nil {
-		return nil, err
-	}
-	if Hamming(cw, recv) != 0 {
-		return nil, ErrDecodeFailure
+	for i, pt := range c.points {
+		if f.EvalPoly(msg, pt) != recv[i] {
+			return nil, ErrDecodeFailure
+		}
 	}
 	return msg, nil
 }

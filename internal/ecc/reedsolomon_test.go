@@ -177,3 +177,107 @@ func BenchmarkDecodeWithErrors(b *testing.B) {
 		}
 	}
 }
+
+// vandermondeSolve is the reference interpolation: it solves the k x k
+// Vandermonde system V msg = recv[:k] over the code's first k points by
+// Gaussian elimination, the O(k^3) route interpolateExact replaces.
+func vandermondeSolve(c *Code, recv []gf.Elem) []gf.Elem {
+	f, k := c.f, c.k
+	a := gf.NewMatrix(f, k, k)
+	x := make([]gf.Elem, k)
+	for i := 0; i < k; i++ {
+		pw := gf.Elem(1)
+		for j := 0; j < k; j++ {
+			a.Set(i, j, pw)
+			pw = f.Mul(pw, c.points[i])
+		}
+		x[i] = recv[i]
+	}
+	for col := 0; col < k; col++ {
+		pivot := col
+		for a.At(pivot, col) == 0 {
+			pivot++ // distinct points: a pivot always exists
+		}
+		for j := 0; j < k; j++ {
+			v := a.At(col, j)
+			a.Set(col, j, a.At(pivot, j))
+			a.Set(pivot, j, v)
+		}
+		x[col], x[pivot] = x[pivot], x[col]
+		inv := f.Inv(a.At(col, col))
+		for j := 0; j < k; j++ {
+			a.Set(col, j, f.Mul(a.At(col, j), inv))
+		}
+		x[col] = f.Mul(x[col], inv)
+		for r := 0; r < k; r++ {
+			if factor := a.At(r, col); r != col && factor != 0 {
+				for j := 0; j < k; j++ {
+					a.Set(r, j, a.At(r, j)^f.Mul(factor, a.At(col, j)))
+				}
+				x[r] ^= f.Mul(factor, x[col])
+			}
+		}
+	}
+	return x
+}
+
+// TestInterpolateMatchesVandermonde checks the O(k^2) Newton interpolation
+// against the Vandermonde solve on codewords, including the (288, 131) code
+// the byzantine compiler broadcasts its F=4 correction lists with, and
+// checks that a word with one corrupted symbol is refused by the fast path
+// and still decoded by Berlekamp-Welch.
+func TestInterpolateMatchesVandermonde(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, nk := range [][2]int{{1, 1}, {8, 8}, {16, 4}, {288, 131}} {
+		c, err := NewCode(testField, nk[0], nk[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 5; trial++ {
+			msg := make([]gf.Elem, c.k)
+			for i := range msg {
+				msg[i] = gf.Elem(rng.Intn(gf.Order16))
+			}
+			cw, _ := c.Encode(msg)
+			got, err := c.interpolateExact(cw)
+			if err != nil {
+				t.Fatalf("(%d,%d): codeword refused: %v", c.n, c.k, err)
+			}
+			want := vandermondeSolve(c, cw)
+			for i := range want {
+				if got[i] != want[i] || got[i] != msg[i] {
+					t.Fatalf("(%d,%d) trial %d: coefficient %d: newton %d, vandermonde %d, message %d",
+						c.n, c.k, trial, i, got[i], want[i], msg[i])
+				}
+			}
+			if c.n > c.k {
+				bad := append([]gf.Elem(nil), cw...)
+				bad[c.k+rng.Intn(c.n-c.k)] ^= gf.Elem(1 + rng.Intn(gf.Order16-1))
+				if _, err := c.interpolateExact(bad); err == nil {
+					t.Fatalf("(%d,%d): corrupted word accepted as a codeword", c.n, c.k)
+				}
+			}
+		}
+	}
+	// One corrupted symbol inside the interpolation window: the fast path
+	// must refuse it and Berlekamp-Welch must still decode.
+	c, _ := NewCode(testField, 288, 131)
+	msg := make([]gf.Elem, c.k)
+	for i := range msg {
+		msg[i] = gf.Elem(rng.Intn(gf.Order16))
+	}
+	cw, _ := c.Encode(msg)
+	cw[7] ^= 0x5a5a
+	if _, err := c.interpolateExact(cw); err == nil {
+		t.Fatal("corrupted word passed the exact-interpolation check")
+	}
+	got, err := c.Decode(cw)
+	if err != nil {
+		t.Fatalf("Berlekamp-Welch failed on one error: %v", err)
+	}
+	for i := range msg {
+		if got[i] != msg[i] {
+			t.Fatalf("decoded coefficient %d = %d, want %d", i, got[i], msg[i])
+		}
+	}
+}

@@ -120,49 +120,6 @@ func TestVandermondeSubmatrixInvertible(t *testing.T) {
 	}
 }
 
-func TestSolveLinearRoundTrip(t *testing.T) {
-	f := NewField16()
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(12)
-		a := NewMatrix(f, n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, Elem(rng.Intn(Order16)))
-			}
-		}
-		if a.Rank() != n {
-			continue // skip singular draws
-		}
-		x := make([]Elem, n)
-		for i := range x {
-			x[i] = Elem(rng.Intn(Order16))
-		}
-		b := a.MulVec(x)
-		got, err := SolveLinear(a, b)
-		if err != nil {
-			t.Fatalf("SolveLinear failed on full-rank matrix: %v", err)
-		}
-		for i := range x {
-			if got[i] != x[i] {
-				t.Fatalf("trial %d: solution mismatch at %d: got %d want %d", trial, i, got[i], x[i])
-			}
-		}
-	}
-}
-
-func TestSolveLinearSingular(t *testing.T) {
-	f := NewField16()
-	a := NewMatrix(f, 2, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 0, 1)
-	a.Set(1, 1, 2)
-	if _, err := SolveLinear(a, []Elem{1, 2}); err == nil {
-		t.Fatal("expected error on singular matrix")
-	}
-}
-
 func TestTransposeMulVec(t *testing.T) {
 	f := NewField16()
 	m := Vandermonde(f, 4, 3)

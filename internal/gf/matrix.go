@@ -125,43 +125,6 @@ func (m *Matrix) Rank() int {
 	return rank
 }
 
-// SolveLinear solves A x = b by Gaussian elimination where A is square.
-// It returns an error if A is singular.
-func SolveLinear(a *Matrix, b []Elem) ([]Elem, error) {
-	if a.rows != a.cols || len(b) != a.rows {
-		return nil, fmt.Errorf("gf: SolveLinear wants square system, got %dx%d with |b|=%d", a.rows, a.cols, len(b))
-	}
-	w := a.Clone()
-	x := make([]Elem, len(b))
-	copy(x, b)
-	n := w.rows
-	for col := 0; col < n; col++ {
-		pivot := -1
-		for r := col; r < n; r++ {
-			if w.At(r, col) != 0 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			return nil, fmt.Errorf("gf: singular matrix at column %d", col)
-		}
-		w.swapRows(pivot, col)
-		x[pivot], x[col] = x[col], x[pivot]
-		inv := w.f.Inv(w.At(col, col))
-		w.scaleRow(col, inv)
-		x[col] = w.f.Mul(x[col], inv)
-		for r := 0; r < n; r++ {
-			if r != col && w.At(r, col) != 0 {
-				factor := w.At(r, col)
-				w.addScaledRow(r, col, factor)
-				x[r] ^= w.f.Mul(factor, x[col])
-			}
-		}
-	}
-	return x, nil
-}
-
 func (m *Matrix) swapRows(i, j int) {
 	if i == j {
 		return

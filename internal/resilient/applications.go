@@ -22,9 +22,14 @@ func CliqueShared(n int) *Shared {
 // byzantine adversary (Theorem 1.6) and returns the compiled protocol
 // together with its trusted preprocessing artifact, at the harness's
 // standard repetition factor. This is the registry-adapter form: one call
-// yields both halves the root protocol registry hands to a Scenario.
-func HardenedClique(payload congest.Protocol, n, f int) (congest.Protocol, *Shared) {
-	return Compile(payload, Config{Mode: SparseMode, F: f, Rep: 5}), CliqueShared(n)
+// yields both halves the root protocol registry hands to a Scenario, or
+// Validate's error when f is too large for the compiler.
+func HardenedClique(payload congest.Protocol, n, f int) (congest.Protocol, *Shared, error) {
+	cfg := Config{Mode: SparseMode, F: f, Rep: 5}
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	return Compile(payload, cfg), CliqueShared(n), nil
 }
 
 // GeneralShared builds the Corollary 3.9 preprocessing for a

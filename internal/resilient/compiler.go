@@ -92,6 +92,34 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// sparsity is the SparseMode recovery sketch's support bound.
+func (c Config) sparsity() int { return 4*c.F + 2 }
+
+// sketchBytes is the size of one tree's convergecast payload: a sparse
+// recovery sketch, or Samplers ℓ0 samplers.
+func (c Config) sketchBytes() int {
+	if c.Mode == L0Mode {
+		return c.Samplers * sketch.EncodedL0Size
+	}
+	return sketch.EncodedSize(c.sparsity())
+}
+
+// Validate reports whether the compiler can run with this configuration:
+// each tree's sketch must fit one rsim frame section, which caps SparseMode
+// at F = 42 and L0Mode at 51 samplers.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	if n := c.sketchBytes(); n > rsim.MaxSectionBytes {
+		what := fmt.Sprintf("F=%d", c.F)
+		if c.Mode == L0Mode {
+			what = fmt.Sprintf("%d samplers", c.Samplers)
+		}
+		return fmt.Errorf("resilient: %s needs a %d-byte sketch per tree, over the %d-byte rsim frame section limit",
+			what, n, rsim.MaxSectionBytes)
+	}
+	return nil
+}
+
 // estimate is one received-message estimate: present or absent.
 type estimate struct {
 	present bool
@@ -192,8 +220,12 @@ func decodeCorrections(b []byte) []correction {
 // Compile turns any payload protocol whose messages fit MaxPayloadBytes into
 // an f-mobile-resilient protocol over the shared tree packing (Theorem 3.5 /
 // the sparse variant of Section 1.2.2). The run's Shared artifact must be a
-// *Shared; the payload protocol sees Shared.Payload.
+// *Shared; the payload protocol sees Shared.Payload. It panics with
+// Validate's error on a configuration the compiler cannot run.
 func Compile(payload congest.Protocol, cfg Config) congest.Protocol {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	cfg = cfg.withDefaults()
 	return func(rt congest.Runtime) {
 		sh, ok := rt.Shared().(*Shared)

@@ -59,23 +59,19 @@ func (s *simulator) isRoot() bool {
 // root's broadcast.
 func (s *simulator) sparseIteration(sent, est map[graph.NodeID]estimate, _ int) ([]correction, bool) {
 	seed, seedOK := s.broadcastSeed()
-	sparsity := 4*s.cfg.F + 2
+	sparsity := s.cfg.sparsity()
 
 	// Local sketches per tree (independent randomness per tree).
 	k := len(s.trees)
+	seeds := make([]uint64, k)
 	locals := make([][]byte, k)
 	for j := 0; j < k; j++ {
-		r := sketch.NewRecovery(treeSeed(seed, j), sparsity)
+		seeds[j] = treeSeed(seed, j)
+		r := sketch.NewRecovery(seeds[j], sparsity)
 		s.localStream(sent, est, r.Update)
 		locals[j] = r.Encode()
 	}
-	merge := func(j int, a, b []byte) []byte {
-		ra := sketch.DecodeRecovery(treeSeed(seed, j), sparsity, a)
-		rb := sketch.DecodeRecovery(treeSeed(seed, j), sparsity, b)
-		ra.Merge(rb)
-		return ra.Encode()
-	}
-	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, merge, s.depth, s.cfg.Rep)
+	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, mergeSketches(s.cfg.sketchBytes()), s.depth, s.cfg.Rep)
 
 	// Root: decode each tree's aggregate and take the across-tree majority
 	// of the canonical correction list.
@@ -86,7 +82,7 @@ func (s *simulator) sparseIteration(sent, est map[graph.NodeID]estimate, _ int) 
 			if agg == nil {
 				continue
 			}
-			r := sketch.DecodeRecovery(treeSeed(seed, j), sparsity, agg)
+			r := sketch.DecodeRecovery(seeds[j], sparsity, agg)
 			items, ok := r.Decode()
 			if !ok {
 				continue
@@ -132,32 +128,24 @@ func (s *simulator) l0Iteration(sent, est map[graph.NodeID]estimate, j int) ([]c
 	k := len(s.trees)
 	t := s.cfg.Samplers
 
+	// seeds[ti*t+h] seeds sampler h of tree ti.
+	seeds := make([]uint64, k*t)
 	locals := make([][]byte, k)
 	for ti := 0; ti < k; ti++ {
 		buf := make([]byte, 0, t*sketch.EncodedL0Size)
 		for h := 0; h < t; h++ {
-			sm := sketch.NewL0Sampler(samplerSeed(seed, ti, j, h))
+			seeds[ti*t+h] = samplerSeed(seed, ti, j, h)
+			sm := sketch.NewL0Sampler(seeds[ti*t+h])
 			s.localStream(sent, est, sm.Update)
 			buf = append(buf, sm.Encode()...)
 		}
 		locals[ti] = buf
 	}
-	merge := func(ti int, a, b []byte) []byte {
-		out := make([]byte, 0, t*sketch.EncodedL0Size)
-		for h := 0; h < t; h++ {
-			off := h * sketch.EncodedL0Size
-			sa := sketch.DecodeL0Sampler(samplerSeed(seed, ti, j, h), sliceAt(a, off, sketch.EncodedL0Size))
-			sb := sketch.DecodeL0Sampler(samplerSeed(seed, ti, j, h), sliceAt(b, off, sketch.EncodedL0Size))
-			sa.Merge(sb)
-			out = append(out, sa.Encode()...)
-		}
-		return out
-	}
-	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, merge, s.depth, s.cfg.Rep)
+	rootAggs := rsim.ConvergecastUp(s.rt, s.trees, locals, mergeSketches(s.cfg.sketchBytes()), s.depth, s.cfg.Rep)
 
 	var corrMsg []byte
 	if s.isRoot() && seedOK {
-		corrMsg = encodeCorrections(s.rootSelectDominating(rootAggs, seed, j))
+		corrMsg = encodeCorrections(s.rootSelectDominating(rootAggs, seeds, j))
 	} else if s.isRoot() {
 		corrMsg = encodeCorrections(nil)
 	}
@@ -170,8 +158,9 @@ func (s *simulator) l0Iteration(sent, est map[graph.NodeID]estimate, j int) ([]c
 
 // rootSelectDominating implements the support threshold of Eq. (8): count
 // how many (tree, sampler) pairs sampled each observed mismatch and keep
-// those above Delta_j, capped to the broadcast capacity.
-func (s *simulator) rootSelectDominating(rootAggs [][]byte, seed uint64, j int) []correction {
+// those above Delta_j, capped to the broadcast capacity. seeds are the
+// iteration's sampler seeds, t per tree.
+func (s *simulator) rootSelectDominating(rootAggs [][]byte, seeds []uint64, j int) []correction {
 	k := len(s.trees)
 	t := s.cfg.Samplers
 	type obs struct {
@@ -186,7 +175,7 @@ func (s *simulator) rootSelectDominating(rootAggs [][]byte, seed uint64, j int) 
 		}
 		anyNonEmpty := false
 		for h := 0; h < t; h++ {
-			sm := sketch.DecodeL0Sampler(samplerSeed(seed, ti, j, h), sliceAt(agg, h*sketch.EncodedL0Size, sketch.EncodedL0Size))
+			sm := sketch.DecodeL0Sampler(seeds[ti*t+h], sliceAt(agg, h*sketch.EncodedL0Size, sketch.EncodedL0Size))
 			if sm.Empty() {
 				continue
 			}
@@ -257,6 +246,13 @@ func sliceAt(b []byte, off, n int) []byte {
 		end = len(b)
 	}
 	return b[off:end]
+}
+
+// mergeSketches is the convergecast merge of both modes. Sketches are
+// linear, so two size-byte wire images add triple by triple without being
+// decoded, and the merge needs no seed.
+func mergeSketches(size int) rsim.MergeFn {
+	return func(a, b []byte) []byte { return sketch.MergeEncoded(a, b, size) }
 }
 
 func treeSeed(seed uint64, tree int) uint64 {

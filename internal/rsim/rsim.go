@@ -18,9 +18,19 @@
 // carries one frame containing that edge's message for every tree using it,
 // which is exactly the load-eta scheduling of Lemma 3.3 (an adversary
 // corrupting the edge corrupts all eta trees on it, as in the paper).
+//
+// A frame is a run of [tree id u16][length u16][payload] sections, so one
+// tree's payload is at most MaxSectionBytes. Each node builds its frames in
+// one buffer per port that it reuses every round; that relies on
+// ExchangePorts copying every sent payload into the round arena before it
+// returns. Receivers scan a frame for their tree's section in place, and a
+// commit copies a value only the first time it is seen.
 package rsim
 
 import (
+	"bytes"
+	"fmt"
+
 	"mobilecongest/internal/congest"
 	"mobilecongest/internal/graph"
 	"mobilecongest/internal/treepack"
@@ -119,53 +129,88 @@ func MaxDepth(views [][]TreeView) int {
 // slack against corruption.
 func Rounds(depthBound, rep int) int { return 2 * rep * (depthBound + 1) }
 
-// frame encoding: [treeID u16][len u16][payload]... per physical edge.
+// MaxSectionBytes is the largest per-tree payload one frame section carries:
+// the section length is a 16-bit field.
+const MaxSectionBytes = 1<<16 - 1
 
 func appendSection(dst []byte, treeID int, payload []byte) []byte {
+	if len(payload) > MaxSectionBytes {
+		panic(fmt.Sprintf("rsim: %d-byte tree payload exceeds the %d-byte frame section limit", len(payload), MaxSectionBytes))
+	}
 	dst = append(dst, byte(treeID>>8), byte(treeID))
 	dst = append(dst, byte(len(payload)>>8), byte(len(payload)))
 	return append(dst, payload...)
 }
 
-func parseFrame(m congest.Msg) map[int][]byte {
-	out := make(map[int][]byte)
-	i := 0
-	for i+4 <= len(m) {
-		treeID := int(m[i])<<8 | int(m[i+1])
+// section returns tree treeID's payload in frame m: the last well-formed
+// section carrying that id. Scanning stops at a truncated (corrupted) tail,
+// so a section cut short is dropped.
+func section(m congest.Msg, treeID int) (sec []byte, ok bool) {
+	for i := 0; i+4 <= len(m); {
+		id := int(m[i])<<8 | int(m[i+1])
 		l := int(m[i+2])<<8 | int(m[i+3])
 		i += 4
 		if i+l > len(m) {
-			break // truncated/corrupted tail
+			break
 		}
-		out[treeID] = m[i : i+l]
+		if id == treeID {
+			sec, ok = m[i:i+l], true
+		}
 		i += l
 	}
-	return out
+	return sec, ok
+}
+
+// frames holds one node's outgoing frame per port, reused round after round
+// (see the package doc for why that is safe).
+type frames [][]byte
+
+func (f frames) add(port, treeID int, payload []byte) {
+	f[port] = appendSection(f[port], treeID, payload)
+}
+
+// flush moves the round's non-empty frames into out (ports without a
+// section stay silent) and truncates the buffers for the next round.
+func (f frames) flush(out []congest.Msg) {
+	for p, fr := range f {
+		if len(fr) > 0 {
+			out[p] = fr
+			f[p] = fr[:0]
+		}
+	}
 }
 
 // committer tracks copies of candidate values on one (tree, neighbour)
 // stream and commits at the threshold.
 type committer struct {
-	counts    map[string]int
+	seen      []candidate
 	threshold int
 	value     []byte
 	done      bool
 }
 
-func newCommitter(threshold int) *committer {
-	return &committer{counts: make(map[string]int), threshold: threshold}
+// candidate is one distinct value offered to a committer and its copy count.
+type candidate struct {
+	v []byte
+	n int
 }
 
 // Offer records one received copy and reports whether the stream has
-// committed.
+// committed. It copies v only when v is a value not offered before.
 func (c *committer) Offer(v []byte) bool {
 	if c.done {
 		return true
 	}
-	s := string(v)
-	c.counts[s]++
-	if c.counts[s] >= c.threshold {
-		c.value = []byte(s)
+	i := 0
+	for i < len(c.seen) && !bytes.Equal(c.seen[i].v, v) {
+		i++
+	}
+	if i == len(c.seen) {
+		c.seen = append(c.seen, candidate{v: append([]byte{}, v...)})
+	}
+	c.seen[i].n++
+	if c.seen[i].n >= c.threshold {
+		c.value = c.seen[i].v
 		c.done = true
 	}
 	return c.done
@@ -180,36 +225,36 @@ func (c *committer) Offer(v []byte) bool {
 func BroadcastDown(rt congest.Runtime, trees []TreeView, payloads [][]byte, depthBound, rep int) [][]byte {
 	pr := congest.Ports(rt)
 	have := make([][]byte, len(trees))
-	commits := make([]*committer, len(trees))
+	commits := make([]committer, len(trees))
 	for j := range trees {
 		if trees[j].Depth == 0 { // root
 			have[j] = payloads[j]
 		}
-		commits[j] = newCommitter(rep)
+		commits[j].threshold = rep
 	}
+	fr := make(frames, pr.Degree())
 	total := Rounds(depthBound, rep)
 	for r := 0; r < total; r++ {
-		out := pr.OutBuf()
 		for j, tv := range trees {
 			if tv.Depth < 0 || have[j] == nil {
 				continue
 			}
 			for _, c := range tv.Children {
 				if p := pr.Port(c); p >= 0 {
-					out[p] = appendSection(out[p], j, have[j])
+					fr.add(p, j, have[j])
 				}
 			}
 		}
+		out := pr.OutBuf()
+		fr.flush(out)
 		in := pr.ExchangePorts(out)
 		for j, tv := range trees {
 			if tv.Depth <= 0 || tv.Parent < 0 || have[j] != nil {
 				continue
 			}
 			if p := pr.Port(tv.Parent); p >= 0 && in[p] != nil {
-				if sec, ok2 := parseFrame(in[p])[j]; ok2 {
-					if commits[j].Offer(sec) {
-						have[j] = commits[j].value
-					}
+				if sec, ok := section(in[p], j); ok && commits[j].Offer(sec) {
+					have[j] = commits[j].value
 				}
 			}
 		}
@@ -217,8 +262,8 @@ func BroadcastDown(rt congest.Runtime, trees []TreeView, payloads [][]byte, dept
 	return have
 }
 
-// MergeFn combines two encoded aggregates for one tree.
-type MergeFn func(treeIdx int, a, b []byte) []byte
+// MergeFn combines two encoded aggregates of one tree.
+type MergeFn func(a, b []byte) []byte
 
 // ConvergecastUp aggregates per-tree local values to each tree's root:
 // locals[j] is this node's contribution to tree j. A node transmits its
@@ -229,11 +274,8 @@ type MergeFn func(treeIdx int, a, b []byte) []byte
 // called in lock-step by all nodes with equal depthBound and rep.
 func ConvergecastUp(rt congest.Runtime, trees []TreeView, locals [][]byte, merge MergeFn, depthBound, rep int) [][]byte {
 	pr := congest.Ports(rt)
-	type key struct {
-		j     int
-		child graph.NodeID
-	}
-	commits := make(map[key]*committer)
+	// commits[j][i] follows tree j's i-th child.
+	commits := make([][]committer, len(trees))
 	ready := make([][]byte, len(trees)) // my complete subtree aggregate
 	for j, tv := range trees {
 		if tv.Depth < 0 {
@@ -242,35 +284,37 @@ func ConvergecastUp(rt congest.Runtime, trees []TreeView, locals [][]byte, merge
 		if len(tv.Children) == 0 {
 			ready[j] = locals[j]
 		}
-		for _, c := range tv.Children {
-			commits[key{j: j, child: c}] = newCommitter(rep)
+		commits[j] = make([]committer, len(tv.Children))
+		for i := range commits[j] {
+			commits[j][i].threshold = rep
 		}
 	}
+	fr := make(frames, pr.Degree())
 	total := Rounds(depthBound, rep)
 	for r := 0; r < total; r++ {
-		out := pr.OutBuf()
 		for j, tv := range trees {
 			if tv.Depth <= 0 || tv.Parent < 0 || ready[j] == nil {
 				continue
 			}
 			if p := pr.Port(tv.Parent); p >= 0 {
-				out[p] = appendSection(out[p], j, ready[j])
+				fr.add(p, j, ready[j])
 			}
 		}
+		out := pr.OutBuf()
+		fr.flush(out)
 		in := pr.ExchangePorts(out)
 		for j, tv := range trees {
 			if tv.Depth < 0 || ready[j] != nil {
 				continue
 			}
 			allDone := true
-			for _, c := range tv.Children {
-				k := key{j: j, child: c}
-				cm := commits[k]
+			for i, c := range tv.Children {
+				cm := &commits[j][i]
 				if cm.done {
 					continue
 				}
 				if p := pr.Port(c); p >= 0 && in[p] != nil {
-					if sec, ok2 := parseFrame(in[p])[j]; ok2 {
+					if sec, ok := section(in[p], j); ok {
 						cm.Offer(sec)
 					}
 				}
@@ -280,8 +324,8 @@ func ConvergecastUp(rt congest.Runtime, trees []TreeView, locals [][]byte, merge
 			}
 			if allDone {
 				acc := locals[j]
-				for _, c := range tv.Children {
-					acc = merge(j, acc, commits[key{j: j, child: c}].value)
+				for i := range tv.Children {
+					acc = merge(acc, commits[j][i].value)
 				}
 				ready[j] = acc
 			}

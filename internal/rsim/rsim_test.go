@@ -11,7 +11,7 @@ import (
 )
 
 // mergeXor is a simple commutative aggregate for tests.
-func mergeXor(_ int, a, b []byte) []byte {
+func mergeXor(a, b []byte) []byte {
 	out := make([]byte, 8)
 	copy(out, a)
 	for i := 0; i < 8 && i < len(b); i++ {

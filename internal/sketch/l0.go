@@ -13,7 +13,7 @@ import (
 // exactly one-sparse.
 type L0Sampler struct {
 	seed   uint64
-	levels []*OneSparse
+	levels []OneSparse
 	lkey   uint64 // level-assignment PRF key
 }
 
@@ -24,9 +24,9 @@ const l0Levels = 40
 // Samplers merge only when created from equal seeds.
 func NewL0Sampler(seed uint64) *L0Sampler {
 	s := &L0Sampler{seed: seed, lkey: mix64(seed ^ 0x9e3779b97f4a7c15)}
-	s.levels = make([]*OneSparse, l0Levels)
+	s.levels = make([]OneSparse, l0Levels)
 	for i := range s.levels {
-		s.levels[i] = NewOneSparse(seed + uint64(i)*0x2545f4914f6cdd1d)
+		s.levels[i] = newOneSparse(seed + uint64(i)*0x2545f4914f6cdd1d)
 	}
 	return s
 }
@@ -54,7 +54,7 @@ func (s *L0Sampler) Update(e Elem, freq int64) {
 // Merge folds another sampler (same seed) into s.
 func (s *L0Sampler) Merge(other *L0Sampler) {
 	for i := range s.levels {
-		s.levels[i].Merge(other.levels[i])
+		s.levels[i].Merge(&other.levels[i])
 	}
 }
 
@@ -88,7 +88,7 @@ func (s *L0Sampler) Empty() bool {
 func (s *L0Sampler) Encode() []byte {
 	out := make([]byte, 0, 32*len(s.levels))
 	for _, l := range s.levels {
-		out = append(out, l.Encode()...)
+		out = l.appendTo(out)
 	}
 	return out
 }
@@ -98,16 +98,7 @@ func (s *L0Sampler) Encode() []byte {
 func DecodeL0Sampler(seed uint64, data []byte) *L0Sampler {
 	s := NewL0Sampler(seed)
 	for i := range s.levels {
-		off := 32 * i
-		var chunk []byte
-		if off < len(data) {
-			end := off + 32
-			if end > len(data) {
-				end = len(data)
-			}
-			chunk = data[off:end]
-		}
-		s.levels[i] = DecodeOneSparse(seed+uint64(i)*0x2545f4914f6cdd1d, chunk)
+		s.levels[i].read(data, 32*i)
 	}
 	return s
 }

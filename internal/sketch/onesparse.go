@@ -10,7 +10,11 @@
 // exceeds the element range, so one-sparse recovery is exact.
 package sketch
 
-import "mobilecongest/internal/prime"
+import (
+	"encoding/binary"
+
+	"mobilecongest/internal/prime"
+)
 
 // Elem is a stream element: the integer Hi*2^64 + Lo, which must stay below
 // P61*P31 (~2^92). Pack enforces the range.
@@ -98,7 +102,12 @@ type OneSparse struct {
 // NewOneSparse creates an empty triple using fingerprint randomness seed.
 // Sketches can only be merged when built from the same seed.
 func NewOneSparse(seed uint64) *OneSparse {
-	return &OneSparse{key: mix64(seed ^ 0xa0761d6478bd642f)}
+	o := newOneSparse(seed)
+	return &o
+}
+
+func newOneSparse(seed uint64) OneSparse {
+	return OneSparse{key: mix64(seed ^ 0xa0761d6478bd642f)}
 }
 
 // Update adds element e with frequency freq (typically ±1).
@@ -174,13 +183,13 @@ func (o *OneSparse) Decode() (Elem, int64, bool) {
 
 // Encode serializes the triple to a fixed 32-byte wire format (seedless —
 // both endpoints already share the seed).
-func (o *OneSparse) Encode() []byte {
-	buf := make([]byte, 0, 32)
+func (o *OneSparse) Encode() []byte { return o.appendTo(make([]byte, 0, 32)) }
+
+func (o *OneSparse) appendTo(buf []byte) []byte {
 	buf = appendU64(buf, uint64(o.count))
 	buf = appendU64(buf, o.s61)
 	buf = appendU64(buf, o.s31)
-	buf = appendU64(buf, o.tag)
-	return buf
+	return appendU64(buf, o.tag)
 }
 
 // DecodeOneSparse parses a wire triple created with the same seed. Short or
@@ -189,21 +198,47 @@ func (o *OneSparse) Encode() []byte {
 // sketch.
 func DecodeOneSparse(seed uint64, data []byte) *OneSparse {
 	o := NewOneSparse(seed)
-	o.count = int64(readU64(data, 0))
-	o.s61 = prime.Mod61(readU64(data, 8))
-	o.s31 = prime.Mod31(readU64(data, 16))
-	o.tag = prime.Mod61(readU64(data, 24))
+	o.read(data, 0)
 	return o
 }
 
-func appendU64(b []byte, v uint64) []byte {
-	for i := 7; i >= 0; i-- {
-		b = append(b, byte(v>>(8*i)))
-	}
-	return b
+// read loads the sums from the 32-byte triple at data[off:]; bytes past the
+// end of data read as zero. The key is untouched.
+func (o *OneSparse) read(data []byte, off int) {
+	o.count = int64(readU64(data, off))
+	o.s61 = prime.Mod61(readU64(data, off+8))
+	o.s31 = prime.Mod31(readU64(data, off+16))
+	o.tag = prime.Mod61(readU64(data, off+24))
 }
 
+// MergeEncoded returns the size-byte wire image of the merge of two encoded
+// sketches of the same shape (Recovery or L0Sampler images, or
+// concatenations of them). Merging adds the triples' sums and never reads
+// the fingerprint key, so the result is exactly
+// Encode(Decode(a).Merge(Decode(b))) for any seed, computed 32-byte triple
+// by triple without decoding. Like the decoders, it treats bytes missing
+// from a or b as zero and ignores bytes beyond size; size must be a
+// multiple of 32.
+func MergeEncoded(a, b []byte, size int) []byte {
+	out := make([]byte, 0, size)
+	var x, y OneSparse
+	for off := 0; off < size; off += 32 {
+		x.read(a, off)
+		y.read(b, off)
+		x.Merge(&y)
+		out = x.appendTo(out)
+	}
+	return out
+}
+
+func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
+
+// readU64 reads the big-endian word at b[off:]; bytes past the end of b
+// read as zero.
 func readU64(b []byte, off int) uint64 {
+	if off >= 0 && off+8 <= len(b) {
+		return binary.BigEndian.Uint64(b[off:])
+	}
 	var v uint64
 	for i := 0; i < 8; i++ {
 		v <<= 8

@@ -7,10 +7,11 @@ package sketch
 // compiler (Section 1.2.2) and the message-correction procedure of
 // Lemma 4.2, both of which need the *full* mismatch list at the root.
 type Recovery struct {
-	seed    uint64
-	rows    int
-	width   int
-	buckets [][]*OneSparse
+	rows  int
+	width int
+	// buckets holds the rows x width one-sparse triples row-major: bucket
+	// (i, j) is buckets[i*width+j].
+	buckets []OneSparse
 	rowKey  []uint64
 }
 
@@ -23,14 +24,13 @@ func NewRecovery(seed uint64, s int) *Recovery {
 	}
 	rows := 6
 	width := 2 * s
-	r := &Recovery{seed: seed, rows: rows, width: width}
-	r.buckets = make([][]*OneSparse, rows)
+	r := &Recovery{rows: rows, width: width}
+	r.buckets = make([]OneSparse, rows*width)
+	for b := range r.buckets {
+		r.buckets[b] = newOneSparse(seed ^ (uint64(b+1) * 0x9e3779b97f4a7c15))
+	}
 	r.rowKey = make([]uint64, rows)
-	for i := 0; i < rows; i++ {
-		r.buckets[i] = make([]*OneSparse, width)
-		for j := 0; j < width; j++ {
-			r.buckets[i][j] = NewOneSparse(seed ^ (uint64(i*width+j+1) * 0x9e3779b97f4a7c15))
-		}
+	for i := range r.rowKey {
 		r.rowKey[i] = mix64(seed ^ (uint64(i+1) * 0xc2b2ae3d27d4eb4f))
 	}
 	return r
@@ -39,24 +39,30 @@ func NewRecovery(seed uint64, s int) *Recovery {
 // S returns the sparsity parameter (width/2).
 func (r *Recovery) S() int { return r.width / 2 }
 
-func (r *Recovery) bucketOf(row int, e Elem) int {
-	return int(prf64(r.rowKey[row], e) % uint64(r.width))
+// bucket returns the triple element e hashes to in row i.
+func (r *Recovery) bucket(row int, e Elem) *OneSparse {
+	return &r.buckets[row*r.width+int(prf64(r.rowKey[row], e)%uint64(r.width))]
 }
 
 // Update adds element e with frequency freq.
 func (r *Recovery) Update(e Elem, freq int64) {
 	for i := 0; i < r.rows; i++ {
-		r.buckets[i][r.bucketOf(i, e)].Update(e, freq)
+		r.bucket(i, e).Update(e, freq)
 	}
 }
 
 // Merge folds another sketch (same seed and sparsity) into r.
 func (r *Recovery) Merge(other *Recovery) {
-	for i := 0; i < r.rows; i++ {
-		for j := 0; j < r.width; j++ {
-			r.buckets[i][j].Merge(other.buckets[i][j])
-		}
+	for b := range r.buckets {
+		r.buckets[b].Merge(&other.buckets[b])
 	}
+}
+
+// clone returns an independent copy (the row keys are immutable and shared).
+func (r *Recovery) clone() *Recovery {
+	c := *r
+	c.buckets = append([]OneSparse(nil), r.buckets...)
+	return &c
 }
 
 // Item is one recovered (element, net frequency) pair.
@@ -70,68 +76,58 @@ type Item struct {
 // corrupted sketch).
 func (r *Recovery) Decode() (items []Item, ok bool) {
 	// Work on a copy so Decode is non-destructive.
-	work := NewRecovery(r.seed, r.S())
-	work.Merge(r)
-	for iter := 0; iter <= 4*r.width*r.rows; iter++ {
+	work := r.clone()
+	for iter := 0; iter <= 4*len(work.buckets); iter++ {
 		progressed := false
-		for i := 0; i < work.rows && !progressed; i++ {
-			for j := 0; j < work.width && !progressed; j++ {
-				b := work.buckets[i][j]
-				if b.IsEmpty() {
-					continue
-				}
-				e, f, decOK := b.Decode()
-				if !decOK {
-					continue
-				}
-				items = append(items, Item{E: e, Freq: f})
-				work.Update(e, -f)
-				progressed = true
+		for b := range work.buckets {
+			if work.buckets[b].IsEmpty() {
+				continue
 			}
+			e, f, decOK := work.buckets[b].Decode()
+			if !decOK {
+				continue
+			}
+			items = append(items, Item{E: e, Freq: f})
+			work.Update(e, -f)
+			progressed = true
+			break
 		}
 		if !progressed {
 			break
 		}
 	}
-	for i := 0; i < work.rows; i++ {
-		for j := 0; j < work.width; j++ {
-			if !work.buckets[i][j].IsEmpty() {
-				return items, false
-			}
+	return items, work.residual() == 0
+}
+
+// residual counts the non-empty buckets.
+func (r *Recovery) residual() int {
+	n := 0
+	for b := range r.buckets {
+		if !r.buckets[b].IsEmpty() {
+			n++
 		}
 	}
-	return items, true
+	return n
 }
 
 // ResidualBuckets returns how many buckets stay non-empty after peeling —
 // diagnostic for distinguishing "support slightly over s" from structural
 // aggregation loss.
 func (r *Recovery) ResidualBuckets() int {
-	work := NewRecovery(r.seed, r.S())
-	work.Merge(r)
+	work := r.clone()
 	if items, _ := work.Decode(); items != nil {
 		for _, it := range items {
 			work.Update(it.E, -it.Freq)
 		}
 	}
-	n := 0
-	for i := 0; i < work.rows; i++ {
-		for j := 0; j < work.width; j++ {
-			if !work.buckets[i][j].IsEmpty() {
-				n++
-			}
-		}
-	}
-	return n
+	return work.residual()
 }
 
 // Encode serializes the sketch: rows*width one-sparse triples of 32 bytes.
 func (r *Recovery) Encode() []byte {
-	out := make([]byte, 0, 32*r.rows*r.width)
-	for i := 0; i < r.rows; i++ {
-		for j := 0; j < r.width; j++ {
-			out = append(out, r.buckets[i][j].Encode()...)
-		}
+	out := make([]byte, 0, 32*len(r.buckets))
+	for b := range r.buckets {
+		out = r.buckets[b].appendTo(out)
 	}
 	return out
 }
@@ -148,21 +144,8 @@ func EncodedSize(s int) int {
 // sparsity. Corrupted bytes yield a garbage (but well-formed) sketch.
 func DecodeRecovery(seed uint64, s int, data []byte) *Recovery {
 	r := NewRecovery(seed, s)
-	idx := 0
-	for i := 0; i < r.rows; i++ {
-		for j := 0; j < r.width; j++ {
-			off := 32 * idx
-			var chunk []byte
-			if off < len(data) {
-				end := off + 32
-				if end > len(data) {
-					end = len(data)
-				}
-				chunk = data[off:end]
-			}
-			r.buckets[i][j] = DecodeOneSparse(r.seed^(uint64(i*r.width+j+1)*0x9e3779b97f4a7c15), chunk)
-			idx++
-		}
+	for b := range r.buckets {
+		r.buckets[b].read(data, 32*b)
 	}
 	return r
 }

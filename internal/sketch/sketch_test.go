@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -308,4 +309,63 @@ func BenchmarkRecoveryDecode(b *testing.B) {
 			b.Fatal("decode failed")
 		}
 	}
+}
+
+// FuzzMergeEncoded checks the seedless wire merge against the
+// decode-merge-encode route it replaces: MergeEncoded(a, b) must equal
+// Encode(Decode(a).Merge(Decode(b))) for Recovery images, L0 sampler images
+// and concatenations of two samplers (the byzantine compiler's per-tree
+// shape), on real, empty, short and garbage inputs.
+func FuzzMergeEncoded(f *testing.F) {
+	rng := rand.New(rand.NewSource(9))
+	r := NewRecovery(3, 2)
+	l := NewL0Sampler(3)
+	for i := 0; i < 5; i++ {
+		e := Pack(uint32(rng.Intn(1000)), rng.Uint64())
+		r.Update(e, 1)
+		l.Update(e, -1)
+	}
+	garbage := make([]byte, 2*EncodedL0Size+7)
+	for i := range garbage {
+		garbage[i] = 0xff
+	}
+	f.Add(r.Encode(), r.Encode(), uint64(3), uint8(2), uint8(0))
+	f.Add(l.Encode(), l.Encode(), uint64(3), uint8(0), uint8(1))
+	f.Add(append(l.Encode(), l.Encode()...), l.Encode()[:100], uint64(5), uint8(0), uint8(2))
+	f.Add([]byte{}, []byte{}, uint64(1), uint8(1), uint8(0))
+	f.Add([]byte{}, r.Encode()[:45], uint64(1), uint8(2), uint8(0))
+	f.Add(garbage, r.Encode(), uint64(7), uint8(2), uint8(0))
+	f.Add(garbage, garbage[:33], uint64(7), uint8(0), uint8(1))
+	f.Add(garbage, []byte{1, 2, 3}, uint64(8), uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, a, b []byte, seed uint64, s, shape uint8) {
+		var want []byte
+		var size int
+		switch shape % 3 {
+		case 0:
+			sp := int(s%8) + 1
+			ra, rb := DecodeRecovery(seed, sp, a), DecodeRecovery(seed, sp, b)
+			ra.Merge(rb)
+			want, size = ra.Encode(), EncodedSize(sp)
+		case 1:
+			la, lb := DecodeL0Sampler(seed, a), DecodeL0Sampler(seed, b)
+			la.Merge(lb)
+			want, size = la.Encode(), EncodedL0Size
+		default:
+			part := func(d []byte, h int) []byte {
+				if off := h * EncodedL0Size; off < len(d) {
+					return d[off:min(off+EncodedL0Size, len(d))]
+				}
+				return nil
+			}
+			for h := 0; h < 2; h++ {
+				la, lb := DecodeL0Sampler(seed+uint64(h), part(a, h)), DecodeL0Sampler(seed+uint64(h), part(b, h))
+				la.Merge(lb)
+				want = append(want, la.Encode()...)
+			}
+			size = 2 * EncodedL0Size
+		}
+		if got := MergeEncoded(a, b, size); !bytes.Equal(got, want) {
+			t.Fatalf("MergeEncoded differs from decode-merge-encode (shape %d, %d+%d bytes)", shape%3, len(a), len(b))
+		}
+	})
 }

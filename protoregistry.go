@@ -265,7 +265,10 @@ func init() {
 		if r <= 0 {
 			r = 2 // diameter+1 on a clique
 		}
-		proto, sh := resilient.HardenedClique(algorithms.Broadcast(p.Root, protoValue(p.Seed), r), g.N(), p.F)
+		proto, sh, err := resilient.HardenedClique(algorithms.Broadcast(p.Root, protoValue(p.Seed), r), g.N(), p.F)
+		if err != nil {
+			return nil, nil, err
+		}
 		return proto, sh, nil
 	})
 }

@@ -8,6 +8,7 @@ import (
 
 	"mobilecongest/internal/algorithms"
 	"mobilecongest/internal/graph"
+	"mobilecongest/internal/resilient"
 )
 
 func TestProtocolRegistryContents(t *testing.T) {
@@ -260,4 +261,27 @@ func TestProtocolNameScenarioSemantics(t *testing.T) {
 	if res.Stats.Rounds != 3 {
 		t.Fatalf("WithProtocolParam(3): rounds = %d, want 3", res.Stats.Rounds)
 	}
+}
+
+// TestHardenedCliqueFrameLimit: a SparseMode sketch is 384·(4F+2) bytes and
+// travels in one rsim frame section with a 16-bit length, so F=42 is the
+// largest budget hardened-clique can defend. F=43 must be refused by name
+// at build time, and Compile must panic with the same message, rather than
+// sending sections whose length wrapped mod 65536.
+func TestHardenedCliqueFrameLimit(t *testing.T) {
+	g := graph.Clique(8)
+	if _, _, err := BuildProtocol("hardened-clique", g, ProtoParams{F: 42}); err != nil {
+		t.Fatalf("F=42: %v", err)
+	}
+	_, _, err := BuildProtocol("hardened-clique", g, ProtoParams{F: 43})
+	if err == nil || !strings.Contains(err.Error(), "65535-byte rsim frame section limit") {
+		t.Fatalf("F=43: error %v, want the frame section limit", err)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if msg == "" || !strings.HasSuffix(err.Error(), msg) {
+			t.Fatalf("Compile at F=43 panicked with %q, want the message of %q", msg, err)
+		}
+	}()
+	resilient.Compile(algorithms.FloodMax(2), resilient.Config{F: 43})
 }
